@@ -7,20 +7,35 @@ the flat arrays one session at a time in Python; this module re-expresses
 the identical semantics as NumPy column operations so one pass scores a
 whole batch:
 
-* the schedule is **lowered** once per process into NumPy columns (sender
-  and receiver rows in ``(node, packet)`` flat index space, arrival slots,
-  per-slot offsets, a per-slot scatter-uniqueness flag) and cached on the
-  :class:`~repro.exec.compiler.CompiledSchedule`;
-* replay keeps one ``(B, (rows + 1) * packets)`` holdings matrix of
-  earliest arrival slots (``INF`` = never held) and walks the horizon
-  slot-by-slot, applying the scalar kernel's hold check, drop mask, and
-  earliest-arrival min-fold to all ``B`` sessions at once.  Per-slot
-  processing is exact because a transmission sent at slot ``s`` arrives at
-  ``s`` or later while forwarding requires an arrival strictly *before*
-  ``s`` — deliveries within a slot can never enable sends in that slot;
+* each call replays a **prefix-pruned view** of the schedule, lowered
+  into NumPy columns (sender and receiver cells in ``(packet, node)`` flat
+  index space, arrival slots, per-slot bounds): only the transmissions of
+  packets below ``min(num_packets, compiled packets)``.  Pruning is exact.
+  The hold check and the earliest-arrival min-fold both key on
+  ``(node, packet)``, so a transmission of packet ``p`` can only change the
+  holdings of packet ``p``; packets past the scored prefix never reach a
+  metric.  At N=31/P=8 this drops 573 of 821 transmissions, at N=1023/P=16
+  30,145 of 46,513.  Views are built once per process and cached on the
+  :class:`~repro.exec.compiler.CompiledSchedule`, one per prefix length, so
+  the cache stays bounded by the compiled packet count;
+* holdings are stored **session-minor**: one ``((rows + 1) * packets, B)``
+  matrix of earliest arrival slots (``INF`` = never held), so every per-slot
+  gather and scatter touches whole contiguous rows.  The kernel walks the
+  horizon slot by slot, applying the scalar kernel's hold check, drop mask
+  and min-fold to all ``B`` sessions at once.  Per-slot processing is exact
+  because a transmission sent at slot ``s`` arrives at ``s`` or later while
+  forwarding requires an arrival strictly *before* ``s`` — deliveries within
+  a slot can never enable sends in that slot;
+* drop masks are still drawn full-length, one private ``default_rng(seed)``
+  stream per session (:func:`bernoulli_masks`); the kernel then selects the
+  view's columns by their original flat index and stores them transposed,
+  ``(kept, B)``.  Every RNG stream is therefore unchanged by pruning;
 * metrics reduce straight to per-session :class:`BatchMetrics` columns
   (residual, goodput, delay/buffer aggregates, optional per-node columns)
-  without materializing per-session arrival dicts.
+  without materializing per-session arrival dicts.  The buffer peak is a
+  count rather than a sweep: occupancy only rises at an arrival, so the
+  peak is the largest number of available packets ``q`` with
+  ``arrival_q <= arrival_p <= consume_q`` over available packets ``p``.
 
 Results are slot-for-slot identical to
 :func:`~repro.exec.replay.replay_point` — including the loss model: a
@@ -30,16 +45,20 @@ permanent-loss behavior).  The identity is property-tested against both the
 scalar path and the engine in ``tests/test_exec_properties.py``.
 
 Memory is bounded: :func:`replay_batch` internally splits the batch into
-chunks whose working set stays under ``element_budget`` array elements, so
-arbitrarily large batches run in bounded kernel memory (the per-session
-output columns still scale with the batch, of course).
+chunks whose working set — the full-length mask rows, the pruned holdings
+and the ``rows x packets x block`` buffer-peak comparison — stays under
+``element_budget`` array elements, so arbitrarily large batches run in
+bounded kernel memory (the per-session output columns still scale with the
+batch, of course).  The comparison is split into blocks of arrival packets
+once whole ``rows x packets x packets`` comparisons would leave fewer than
+``_MIN_CHUNK`` sessions per chunk, so long prefixes stay bounded too.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, Union, cast
+from typing import Any, Union
 
 import numpy as np
 import numpy.typing as npt
@@ -63,11 +82,15 @@ Seed = Union[int, np.random.SeedSequence]
 _INF = np.int32(np.iinfo(np.int32).max)
 
 #: "No available packet" sentinel for the startup-delay max-fold.
-_NEG = np.int64(-(1 << 40))
+_FLOOR = np.int32(np.iinfo(np.int32).min)
 
 #: Default working-set budget per kernel chunk, in array elements
 #: (~64 MB of int32).  The chunk batch size is derived from it.
 DEFAULT_ELEMENT_BUDGET = 16_000_000
+
+#: Sessions a kernel chunk should hold before the buffer-peak comparison is
+#: split into blocks of arrival packets (see :func:`replay_batch`).
+_MIN_CHUNK = 16
 
 
 def spawn_seeds(seed: int, n: int) -> tuple[np.random.SeedSequence, ...]:
@@ -117,71 +140,116 @@ def bernoulli_masks(
 
 
 @dataclass(frozen=True, slots=True)
-class _Lowered:
-    """A compiled schedule's columns in kernel index space.
+class _Pruned:
+    """The transmissions of one scored packet prefix, in kernel index space.
 
-    ``snd_flat`` / ``rcv_flat`` address the flat holdings matrix
-    ``row * num_packets + packet``; source senders point at the extra
-    all-``INF`` dummy row ``num_rows`` (their hold check is overridden by
-    ``is_source``).  ``slot_unique[s]`` records whether slot ``s``'s
-    ``(receiver, packet)`` targets are pairwise distinct — when they are,
-    the min-fold scatters with plain fancy indexing; otherwise it falls
-    back to ``np.minimum.at``.
+    The kernel never replays the full timetable, only this view of it: the
+    transmissions of packets below ``num_packets``, the scored prefix
+    ``min(requested packets, compiled packets)``.  That is exact, because
+    the hold check and the min-fold both key on ``(node, packet)``: a
+    transmission of a packet past the prefix only ever touches that
+    packet's holdings, which no metric reads.
+
+    ``columns`` are the kept transmissions' flat indices into the full
+    timetable (ascending, so send order is preserved).  Drop masks are drawn
+    full-length per session and then only these columns are selected, so
+    pruning never shifts an RNG stream.  ``snd_flat`` / ``rcv_flat`` address
+    the rows of the packet-major, session-minor holdings matrix
+    ``((num_rows + 1) * num_packets, B)``: cell ``packet * num_rows + row``
+    for a receiver, and ``num_rows * num_packets + packet`` for a source
+    sender — a block the kernel fills with ``-1`` (held since before slot 0)
+    so a source's hold check always passes.  ``slots`` lists the non-empty
+    slots as ``(slot, lo, hi, unique)``: kept transmissions ``lo:hi`` are
+    sent in ``slot``, and ``unique`` records whether their targets are
+    pairwise distinct — when they are, the min-fold scatters with plain
+    fancy indexing; otherwise it falls back to ``np.minimum.at``.
+
+    Views are built on first use and cached in the schedule's ``_np_cache``
+    dict under their prefix length, so there is at most one per compiled
+    packet; the cache is per-process and never pickled.
     """
 
-    starts: npt.NDArray[np.int64]
+    columns: npt.NDArray[np.int64]
+    slots: tuple[tuple[int, int, int, bool], ...]
     snd_flat: npt.NDArray[np.int64]
     rcv_flat: npt.NDArray[np.int64]
-    is_source: npt.NDArray[np.bool_]
     arrivals: npt.NDArray[np.int32]
-    slot_unique: npt.NDArray[np.bool_]
     num_rows: int
     num_packets: int
 
 
-def _lower(schedule: CompiledSchedule) -> _Lowered:
-    cached = cast("_Lowered | None", schedule._np_cache)
-    if cached is not None:
-        return cached
-    starts = np.asarray(schedule.starts, dtype=np.int64)
-    senders = np.asarray(schedule.senders, dtype=np.int64)
-    receivers = np.asarray(schedule.receivers, dtype=np.int64)
-    packets = np.asarray(schedule.packets, dtype=np.int64)
-    arrivals = np.asarray(schedule.arrivals, dtype=np.int32)
-    node_row = {nid: row for row, nid in enumerate(schedule.node_ids)}
-    num_rows = len(node_row)
-    sources = frozenset(schedule.source_ids)
-    num_packets = int(packets.max()) + 1 if packets.size else 1
-    size = len(senders)
-    snd_row = np.empty(size, dtype=np.int64)
-    is_source = np.zeros(size, dtype=np.bool_)
-    rcv_row = np.empty(size, dtype=np.int64)
-    for i in range(size):
-        sender = int(senders[i])
-        if sender in sources:
-            snd_row[i] = num_rows  # dummy row: never "held", see is_source
-            is_source[i] = True
-        else:
-            snd_row[i] = node_row[sender]
-        rcv_row[i] = node_row[int(receivers[i])]
-    rcv_flat = rcv_row * num_packets + packets
-    slot_unique = np.ones(schedule.num_slots, dtype=np.bool_)
-    for slot in range(schedule.num_slots):
-        lo, hi = int(starts[slot]), int(starts[slot + 1])
-        if hi - lo > 1:
-            slot_unique[slot] = len(np.unique(rcv_flat[lo:hi])) == hi - lo
-    lowered = _Lowered(
-        starts=starts,
-        snd_flat=snd_row * num_packets + packets,
+def _rows_of(
+    nodes: npt.NDArray[np.int64], ids: npt.NDArray[np.int64]
+) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.bool_]]:
+    """Row of each node id in the non-empty ``ids`` (protocol order), and
+    whether it was found."""
+    order = np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    pos = np.minimum(np.searchsorted(ordered, nodes), ids.size - 1)
+    return order[pos], ordered[pos] == nodes
+
+
+def _slot_unique(
+    starts: npt.NDArray[np.int64], targets: npt.NDArray[np.int64], width: int
+) -> npt.NDArray[np.bool_]:
+    """Per slot: are the slot's scatter targets pairwise distinct?
+
+    One sort of ``slot * width + target`` keys; equal neighbours are a
+    repeated target within one slot.
+    """
+    num_slots = len(starts) - 1
+    slot_of = np.repeat(np.arange(num_slots, dtype=np.int64), np.diff(starts))
+    keys = np.sort(slot_of * width + targets)
+    repeated = keys[1:][keys[1:] == keys[:-1]]
+    unique = np.ones(num_slots, dtype=np.bool_)
+    unique[repeated // width] = False
+    return unique
+
+
+def _prune(schedule: CompiledSchedule, num_packets: int) -> _Pruned:
+    """The cached view of ``schedule`` restricted to the scored prefix."""
+    all_packets = np.asarray(schedule.packets)
+    compiled = int(all_packets.max()) + 1 if all_packets.size else 1
+    window = min(num_packets, compiled)
+    views: dict[int, _Pruned] | None = schedule._np_cache
+    if views is None:
+        views = schedule._np_cache = {}
+    view = views.get(window)
+    if view is not None:
+        return view
+    columns = np.flatnonzero(all_packets < window)
+    packets = all_packets[columns].astype(np.int64)
+    senders = np.asarray(schedule.senders, dtype=np.int64)[columns]
+    receivers = np.asarray(schedule.receivers, dtype=np.int64)[columns]
+    ids = np.asarray(schedule.node_ids, dtype=np.int64)
+    rows = len(ids)
+    is_source = np.isin(senders, np.asarray(schedule.source_ids, dtype=np.int64))
+    snd_row, snd_known = _rows_of(senders, ids)
+    rcv_row, rcv_known = _rows_of(receivers, ids)
+    if not (rcv_known.all() and (snd_known | is_source).all()):
+        raise ReproError("compiled schedule addresses a node outside its node_ids")
+    snd_flat = np.where(is_source, rows * window + packets, packets * rows + snd_row)
+    rcv_flat = packets * rows + rcv_row
+    starts = np.searchsorted(columns, np.asarray(schedule.starts, dtype=np.int64))
+    unique = _slot_unique(starts, rcv_flat, rows * window)
+    bounds = starts.tolist()
+    view = _Pruned(
+        columns=columns,
+        slots=tuple(
+            (slot, lo, hi, bool(flag))
+            for slot, (lo, hi, flag) in enumerate(
+                zip(bounds[:-1], bounds[1:], unique)
+            )
+            if hi > lo
+        ),
+        snd_flat=snd_flat,
         rcv_flat=rcv_flat,
-        is_source=is_source,
-        arrivals=arrivals,
-        slot_unique=slot_unique,
-        num_rows=num_rows,
-        num_packets=num_packets,
+        arrivals=np.asarray(schedule.arrivals, dtype=np.int32)[columns][:, None],
+        num_rows=rows,
+        num_packets=window,
     )
-    schedule._np_cache = lowered
-    return lowered
+    views[window] = view
+    return view
 
 
 # --------------------------------------------------------------------------
@@ -189,97 +257,93 @@ def _lower(schedule: CompiledSchedule) -> _Lowered:
 # --------------------------------------------------------------------------
 
 
+def _pruned_masks(
+    schedule: CompiledSchedule,
+    view: _Pruned,
+    drop_rates: Sequence[float],
+    seeds: Sequence[Seed],
+) -> npt.NDArray[np.bool_] | None:
+    """The view's drop-mask columns, session-minor: ``(kept, B)``.
+
+    Column ``b`` is ``bernoulli_mask(schedule, drop_rates[b],
+    seeds[b])[view.columns]`` — rows are drawn full-length, so pruning
+    leaves every session's RNG stream untouched.
+    """
+    masks = bernoulli_masks(schedule, drop_rates, seeds)
+    if masks is None:
+        return None
+    return masks.T[view.columns]
+
+
 def _hold_and_deliver(
-    lowered: _Lowered,
-    masks: npt.NDArray[np.bool_] | None,
+    view: _Pruned,
+    drops: npt.NDArray[np.bool_] | None,
     horizon: int,
     batch: int,
 ) -> npt.NDArray[np.int32]:
     """Replay ``horizon`` slots for ``batch`` sessions at once.
 
-    Returns the ``(batch, num_rows, num_packets)`` earliest-arrival matrix
-    (``_INF`` = never arrived).  One ``(B, K)`` column operation per slot:
+    Returns the ``(num_packets, num_rows, batch)`` earliest-arrival matrix
+    (``_INF`` = never arrived).  One ``(K, B)`` row operation per slot:
     hold check against the pre-slot holdings state, mask, then
     earliest-arrival min-fold scatter.
     """
-    width = (lowered.num_rows + 1) * lowered.num_packets
-    held_at = np.full((batch, width), _INF, dtype=np.int32)
-    batch_rows = np.arange(batch)[:, None]
-    starts = lowered.starts
-    for slot in range(horizon):
-        lo, hi = int(starts[slot]), int(starts[slot + 1])
-        if lo == hi:
-            continue
-        ok = (held_at[:, lowered.snd_flat[lo:hi]] < slot) | lowered.is_source[lo:hi]
-        if masks is not None:
-            ok &= ~masks[:, lo:hi]
-        targets = lowered.rcv_flat[lo:hi]
-        arrived = lowered.arrivals[lo:hi]
-        if lowered.slot_unique[slot]:
-            current = held_at[:, targets]
-            held_at[:, targets] = np.where(
-                ok, np.minimum(current, arrived), current
-            )
+    cells = view.num_packets * view.num_rows
+    held = np.full((cells + view.num_packets, batch), _INF, dtype=np.int32)
+    held[cells:] = -1
+    for slot, lo, hi, unique in view.slots:
+        if slot >= horizon:
+            break
+        ok = held[view.snd_flat[lo:hi]] < slot
+        if drops is not None:
+            ok &= ~drops[lo:hi]
+        targets = view.rcv_flat[lo:hi]
+        arrived = np.where(ok, view.arrivals[lo:hi], _INF)
+        if unique:
+            held[targets] = np.minimum(held[targets], arrived)
         else:
-            np.minimum.at(
-                held_at,
-                (batch_rows, targets[None, :]),
-                np.where(ok, arrived, _INF),
-            )
-    shaped = held_at.reshape(batch, lowered.num_rows + 1, lowered.num_packets)
-    return shaped[:, : lowered.num_rows, :]
+            np.minimum.at(held, targets, arrived)
+    return held[:cells].reshape(view.num_packets, view.num_rows, batch)
 
 
 def _score(
-    held: npt.NDArray[np.int32], num_packets: int
+    held: npt.NDArray[np.int32], block: int
 ) -> tuple[
     npt.NDArray[np.int32], npt.NDArray[np.int32], npt.NDArray[np.int64]
 ]:
-    """Per-node playback scores over the measured packet prefix.
+    """Per-node playback scores over the pruned packet prefix.
 
-    Returns ``(startup_delays, buffer_peaks, available_counts)``, each of
-    shape ``(batch, num_rows)``, matching
-    :func:`~repro.core.metrics.summarize_lossy_playback` node for node:
-    startup is the earliest hiccup-free start over the *available* packets
-    (0 when nothing arrived), and the buffer peak is the max end-of-slot
-    occupancy at that start (packet ``p`` arrives at its slot and is
-    consumed at ``max(start + p - 1, arrival)``; missing packets never
-    occupy).
+    ``held`` is the ``(packets, rows, B)`` kernel output.  Returns
+    ``(startup_delays, buffer_peaks, available_counts)``, each of shape
+    ``(rows, B)``, matching :func:`~repro.core.metrics.summarize_lossy_playback`
+    node for node: startup is the earliest hiccup-free start over the
+    *available* packets (0 when nothing arrived), and the buffer peak is
+    the max end-of-slot occupancy at that start (packet ``p`` arrives at its
+    slot and is consumed at ``max(start + p - 1, arrival)``; missing packets
+    never occupy).  Measured packets past the compiled ones never arrive,
+    so they count toward neither score.  The buffer-peak comparison runs
+    ``block`` arrival packets at a time, so its temporaries hold
+    ``2 * block * packets * rows * B`` booleans.
     """
-    batch, rows, compiled_packets = held.shape
-    if num_packets <= compiled_packets:
-        window = held[:, :, :num_packets]
-    else:
-        pad = np.full(
-            (batch, rows, num_packets - compiled_packets), _INF, dtype=np.int32
-        )
-        window = np.concatenate([held, pad], axis=2)
-    avail = window < _INF
-    navail = avail.sum(axis=2, dtype=np.int64)
-    packet_index = np.arange(num_packets, dtype=np.int64)
-    arrived = window.astype(np.int64)
-    relative = np.where(avail, arrived - packet_index, _NEG)
-    start = np.where(navail > 0, relative.max(axis=2) + 1, np.int64(0))
-
-    # Buffer peaks via one delta/cumsum sweep over a shared time axis.  The
-    # scalar path clamps each node's sweep to its own horizon; using a
-    # global horizon is equivalent because occupancy is non-increasing
-    # after a node's last arrival, so no later slot can exceed its peak.
-    top_arrival = int(np.max(np.where(avail, arrived, 0), initial=0))
-    length = top_arrival + num_packets + 2
-    dump = length - 1  # unavailable packets: +1/-1 here, net zero
-    delta = np.zeros((batch, rows, length), dtype=np.int32)
-    batch_axis = np.arange(batch)[:, None]
-    row_axis = np.arange(rows)[None, :]
-    consume = np.maximum(start[:, :, None] + packet_index - 1, arrived)
-    for packet in range(num_packets):
-        available = avail[:, :, packet]
-        fill = np.where(available, arrived[:, :, packet], dump)
-        drain = np.where(available, consume[:, :, packet] + 1, dump)
-        delta[batch_axis, row_axis, fill] += 1
-        delta[batch_axis, row_axis, drain] -= 1
-    peak = np.cumsum(delta, axis=2, dtype=np.int32).max(axis=2)
-    return start.astype(np.int32), peak, navail
+    packets, *shape = held.shape
+    arrival = held.reshape(packets, -1)
+    avail = arrival < _INF
+    navail = avail.sum(axis=0, dtype=np.int64)
+    packet = np.arange(packets, dtype=np.int32)[:, None]
+    relative = np.where(avail, arrival - packet, _FLOOR)
+    start = np.where(navail > 0, relative.max(axis=0) + 1, np.int32(0))
+    # Occupancy only rises at an arrival, so the peak is reached at some
+    # available packet p's arrival slot: count the packets q held then,
+    # arrival_q <= arrival_p <= consume_q.  Missing packets consume at -1,
+    # so they are never held and a missing p counts nothing.
+    consume = np.where(avail, np.maximum(start + packet - 1, arrival), np.int32(-1))
+    peak = np.zeros(arrival.shape[1], dtype=np.int32)
+    for lo in range(0, packets, block):
+        at = arrival[lo:lo + block, None, :]
+        holding = arrival[None, :, :] <= at
+        holding &= at <= consume[None, :, :]
+        np.maximum(peak, holding.sum(axis=1, dtype=np.int32).max(axis=0), out=peak)
+    return start.reshape(shape), peak.reshape(shape), navail.reshape(shape)
 
 
 # --------------------------------------------------------------------------
@@ -421,19 +485,20 @@ def replay_batch(
     for rate in rates:
         if not 0 <= rate <= 1:
             raise ReproError(f"drop rate must be in [0, 1], got {rate}")
-    lowered = _lower(schedule)
-    rows = lowered.num_rows
+    rows = schedule.num_nodes
     if rows == 0:
         raise ReproError("schedule has no receiver nodes to score")
-    end = int(lowered.starts[horizon])
-    window = max(num_packets, lowered.num_packets)
-    top_arrival = int(lowered.arrivals[:end].max()) if end else 0
+    view = _prune(schedule, num_packets)
+    window = view.num_packets
+    # Split the buffer-peak comparison into blocks of arrival packets when
+    # comparing whole prefixes would squeeze a chunk below _MIN_CHUNK
+    # sessions, so its per-session cost stays bounded whatever the prefix.
+    pair = 2 * rows * window  # bool comparison temps per session and packet
+    block = max(1, min(window, element_budget // (pair * _MIN_CHUNK)))
     per_session = max(
-        (rows + 1) * lowered.num_packets,        # holdings matrix
-        rows * (top_arrival + num_packets + 2),  # buffer delta sweep
-        rows * window * 2,                       # int64 reduction temps
-        schedule.size,                           # drop-mask row
-        1,
+        (rows + 1) * window,  # pruned holdings matrix
+        pair * block,         # buffer-peak comparison (two bool temps)
+        schedule.size,        # full-length drop-mask row
     )
     chunk = max(1, min(total, element_budget // per_session))
 
@@ -451,21 +516,23 @@ def replay_batch(
     )
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
-        masks = bernoulli_masks(schedule, rates[lo:hi], seeds[lo:hi])
-        held = _hold_and_deliver(lowered, masks, horizon, hi - lo)
-        delays, peaks, navail = _score(held, num_packets)
-        residual[lo:hi] = num_packets * rows - navail.sum(axis=1)
-        available[lo:hi] = navail.sum(axis=1)
-        max_delay[lo:hi] = delays.max(axis=1)
-        avg_delay[lo:hi] = delays.mean(axis=1)
-        max_buffer[lo:hi] = peaks.max(axis=1)
-        avg_buffer[lo:hi] = peaks.mean(axis=1)
+        drops = _pruned_masks(schedule, view, rates[lo:hi], seeds[lo:hi])
+        held = _hold_and_deliver(view, drops, horizon, hi - lo)
+        delays, peaks, navail = _score(held, block)
+        available[lo:hi] = navail.sum(axis=0)
+        residual[lo:hi] = num_packets * rows - available[lo:hi]
+        max_delay[lo:hi] = delays.max(axis=0)
+        avg_delay[lo:hi] = delays.mean(axis=0)
+        max_buffer[lo:hi] = peaks.max(axis=0)
+        avg_buffer[lo:hi] = peaks.mean(axis=0)
         if node_delays is not None and node_buffers is not None:
-            node_delays[lo:hi] = delays
-            node_buffers[lo:hi] = peaks
+            node_delays[lo:hi] = delays.T
+            node_buffers[lo:hi] = peaks.T
     registry = active_registry()
     scheme = schedule.key.scheme if schedule.key is not None else "ad-hoc"
     registry.counter("sweep.batch_sessions", scheme=scheme).inc(total)
+    # Scheduled transmissions within the horizon, pruned or not.
+    end = schedule.starts[horizon]
     registry.counter("sweep.batched_tx", scheme=scheme).inc(total * end)
     return BatchMetrics(
         num_sessions=total,

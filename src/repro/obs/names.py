@@ -98,7 +98,7 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
     MetricSpec("sweep.batch_sessions", "counter", ("scheme",),
                "sessions replayed through the batch kernel"),
     MetricSpec("sweep.batched_tx", "counter", ("scheme",),
-               "transmissions replayed through the batch kernel"),
+               "scheduled transmissions within the horizon, per batched session"),
     MetricSpec("sweep.cells", "counter", ("scheme", "degree"),
                "parallel-workload sweep cells computed"),
     MetricSpec("sweep.delay", "histogram", ("scheme", "degree"),

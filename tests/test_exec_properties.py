@@ -77,7 +77,18 @@ BATCH_CONFIG = st.tuples(
     st.integers(min_value=2, max_value=4),             # d
     st.sampled_from([0.0, 0.05, 0.2, 0.5]),            # drop_rate
     st.integers(min_value=1, max_value=7),             # batch size
+    st.floats(min_value=0.0, max_value=1.0),           # measured prefix share
+    st.floats(min_value=0.0, max_value=1.0),           # horizon share
 )
+
+
+def _prefix_and_horizon(compiled, prefix_share, horizon_share):
+    """A measured prefix in [1, 2 x compiled packets] and a horizon in
+    [1, compiled slots], the way the fleet's churn path shortens both."""
+    compiled_packets = max(compiled.packets) + 1
+    num_packets = 1 + round(prefix_share * (2 * compiled_packets - 1))
+    num_slots = 1 + round(horizon_share * (compiled.num_slots - 1))
+    return num_packets, num_slots
 
 
 class TestBatchKernelEquivalence:
@@ -92,15 +103,20 @@ class TestBatchKernelEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(BATCH_CONFIG, st.integers(min_value=0, max_value=2**31 - 1))
     def test_batched_matches_scalar_replay_per_session(self, config, master):
-        scheme, n, d, rate, batch_size = config
-        compiled, _, num_slots = _compile_and_reference(scheme, n, d)
+        scheme, n, d, rate, batch_size, prefix_share, horizon_share = config
+        compiled, _, _ = _compile_and_reference(scheme, n, d)
+        num_packets, num_slots = _prefix_and_horizon(
+            compiled, prefix_share, horizon_share
+        )
         seeds = spawn_seeds(master, batch_size)
-        batch = replay_batch(compiled, seeds, rate, num_packets=6)
+        batch = replay_batch(
+            compiled, seeds, rate, num_packets=num_packets, num_slots=num_slots
+        )
         for i in range(batch_size):
             mask = bernoulli_mask(compiled, rate, seeds[i])
-            arrivals = replay_arrivals(compiled, drop_mask=mask)
+            arrivals = replay_arrivals(compiled, num_slots=num_slots, drop_mask=mask)
             scalar = collect_repair_metrics(
-                arrivals, num_packets=6, num_slots=num_slots
+                arrivals, num_packets=num_packets, num_slots=num_slots
             )
             assert batch.metrics(i) == scalar, (scheme, n, d, rate, i)
 
@@ -120,10 +136,17 @@ class TestBatchKernelEquivalence:
     def test_batch_order_is_irrelevant(self, config, master):
         # Session i's score is a function of (seed_i, rate) alone — not of
         # its position in the batch or of who shares the batch with it.
-        scheme, n, d, rate, batch_size = config
+        scheme, n, d, rate, batch_size, prefix_share, horizon_share = config
         compiled, _, _ = _compile_and_reference(scheme, n, d)
+        num_packets, num_slots = _prefix_and_horizon(
+            compiled, prefix_share, horizon_share
+        )
         seeds = spawn_seeds(master, batch_size)
-        forward = replay_batch(compiled, seeds, rate, num_packets=6)
-        reversed_ = replay_batch(compiled, seeds[::-1], rate, num_packets=6)
+        forward = replay_batch(
+            compiled, seeds, rate, num_packets=num_packets, num_slots=num_slots
+        )
+        reversed_ = replay_batch(
+            compiled, seeds[::-1], rate, num_packets=num_packets, num_slots=num_slots
+        )
         for i in range(batch_size):
             assert forward.metrics(i) == reversed_.metrics(batch_size - 1 - i)
