@@ -26,10 +26,13 @@ whole batch:
   because a transmission sent at slot ``s`` arrives at ``s`` or later while
   forwarding requires an arrival strictly *before* ``s`` — deliveries within
   a slot can never enable sends in that slot;
-* drop masks are still drawn full-length, one private ``default_rng(seed)``
-  stream per session (:func:`bernoulli_masks`); the kernel then selects the
-  view's columns by their original flat index and stores them transposed,
-  ``(kept, B)``.  Every RNG stream is therefore unchanged by pruning;
+* drop masks are drawn from one private ``default_rng(seed)`` stream per
+  session (:func:`bernoulli_masks`), up to the view's last kept
+  transmission and no further; the kernel then selects the view's columns
+  by their original flat index and stores them transposed, ``(kept, B)``.
+  ``Generator.random`` spends one stream output per double, so a drawn
+  prefix equals the same prefix of a full-length draw, and every session's
+  mask is unchanged by pruning;
 * metrics reduce straight to per-session :class:`BatchMetrics` columns
   (residual, goodput, delay/buffer aggregates, optional per-node columns)
   without materializing per-session arrival dicts.  The buffer peak is a
@@ -45,7 +48,7 @@ permanent-loss behavior).  The identity is property-tested against both the
 scalar path and the engine in ``tests/test_exec_properties.py``.
 
 Memory is bounded: :func:`replay_batch` internally splits the batch into
-chunks whose working set — the full-length mask rows, the pruned holdings
+chunks whose working set — the drawn mask-row prefixes, the pruned holdings
 and the ``rows x packets x block`` buffer-peak comparison — stays under
 ``element_budget`` array elements, so arbitrarily large batches run in
 bounded kernel memory (the per-session output columns still scale with the
@@ -109,14 +112,20 @@ def bernoulli_masks(
     schedule: CompiledSchedule,
     drop_rates: Sequence[float],
     seeds: Sequence[Seed],
+    *,
+    length: int | None = None,
 ) -> npt.NDArray[np.bool_] | None:
-    """Stack per-session drop masks into a ``(B, size)`` matrix.
+    """Stack per-session drop masks into a ``(B, length)`` matrix.
 
     Row ``b`` is exactly ``bernoulli_mask(schedule, drop_rates[b],
-    seeds[b])``: each session draws from its own private
+    seeds[b])[:length]``: each session draws from its own private
     ``default_rng(seed)`` stream, so a session's mask is independent of
-    batch composition, batch order, and worker placement.  Returns ``None``
-    when every rate is zero (loss-free batch, nothing to mask).
+    batch composition, batch order, and worker placement.  ``length``
+    (default: every transmission, ``schedule.size``) draws only a leading
+    prefix of each row; that is exact because ``Generator.random`` spends
+    one stream output per double, so the first ``length`` doubles do not
+    depend on how many follow.  Returns ``None`` when every rate is zero
+    (loss-free batch, nothing to mask).
     """
     if len(drop_rates) != len(seeds):
         raise ReproError(
@@ -125,12 +134,17 @@ def bernoulli_masks(
     for rate in drop_rates:
         if not 0 <= rate <= 1:
             raise ReproError(f"drop rate must be in [0, 1], got {rate}")
+    size = schedule.size if length is None else length
+    if not 0 <= size <= schedule.size:
+        raise ReproError(
+            f"mask length {size} outside [0, {schedule.size}] transmissions"
+        )
     if not any(rate > 0 for rate in drop_rates):
         return None
-    masks = np.zeros((len(seeds), schedule.size), dtype=np.bool_)
+    masks = np.zeros((len(seeds), size), dtype=np.bool_)
     for b, (seed, rate) in enumerate(zip(seeds, drop_rates)):
         if rate > 0:
-            masks[b] = np.random.default_rng(seed).random(schedule.size) < rate
+            masks[b] = np.random.default_rng(seed).random(size) < rate
     return masks
 
 
@@ -152,9 +166,10 @@ class _Pruned:
 
     ``columns`` are the kept transmissions' flat indices into the full
     timetable (ascending, so send order is preserved).  Drop masks are drawn
-    full-length per session and then only these columns are selected, so
-    pruning never shifts an RNG stream.  ``snd_flat`` / ``rcv_flat`` address
-    the rows of the packet-major, session-minor holdings matrix
+    per session up to the last of them (:attr:`drawn`) and then only these
+    columns are selected, so pruning never shifts an RNG stream.
+    ``snd_flat`` / ``rcv_flat`` address the rows of the packet-major,
+    session-minor holdings matrix
     ``((num_rows + 1) * num_packets, B)``: cell ``packet * num_rows + row``
     for a receiver, and ``num_rows * num_packets + packet`` for a source
     sender — a block the kernel fills with ``-1`` (held since before slot 0)
@@ -176,6 +191,12 @@ class _Pruned:
     arrivals: npt.NDArray[np.int32]
     num_rows: int
     num_packets: int
+
+    @property
+    def drawn(self) -> int:
+        """Leading transmissions of each mask row the view reads: up to and
+        including its last kept column."""
+        return int(self.columns[-1]) + 1 if self.columns.size else 0
 
 
 def _rows_of(
@@ -266,10 +287,12 @@ def _pruned_masks(
     """The view's drop-mask columns, session-minor: ``(kept, B)``.
 
     Column ``b`` is ``bernoulli_mask(schedule, drop_rates[b],
-    seeds[b])[view.columns]`` — rows are drawn full-length, so pruning
-    leaves every session's RNG stream untouched.
+    seeds[b])[view.columns]``.  Each row is drawn from the session's own
+    stream up to the last kept column (:attr:`_Pruned.drawn`) and no
+    further: the columns past it are never read, and drawing a shorter
+    prefix of a stream leaves its leading values unchanged.
     """
-    masks = bernoulli_masks(schedule, drop_rates, seeds)
+    masks = bernoulli_masks(schedule, drop_rates, seeds, length=view.drawn)
     if masks is None:
         return None
     return masks.T[view.columns]
@@ -498,7 +521,7 @@ def replay_batch(
     per_session = max(
         (rows + 1) * window,  # pruned holdings matrix
         pair * block,         # buffer-peak comparison (two bool temps)
-        schedule.size,        # full-length drop-mask row
+        view.drawn,           # drawn prefix of the drop-mask row
     )
     chunk = max(1, min(total, element_budget // per_session))
 

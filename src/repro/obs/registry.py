@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
+from collections.abc import Sequence
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -115,6 +116,27 @@ class Histogram:
             self.sum += value
             self.min = value if self.min is None else min(self.min, value)
             self.max = value if self.max is None else max(self.max, value)
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Observe every value of ``values`` in order, under one lock.
+
+        The same end state as one :meth:`observe` per value: ``sum``
+        accumulates in the given order, so float sums match bit for bit.
+        """
+        if not values:
+            return
+        buckets = self.buckets
+        with self._lock:
+            counts = self.bucket_counts
+            total = self.sum
+            for value in values:
+                counts[bisect_left(buckets, value)] += 1
+                total += value
+            self.sum = total
+            self.count += len(values)
+            low, high = min(values), max(values)
+            self.min = low if self.min is None else min(self.min, low)
+            self.max = high if self.max is None else max(self.max, high)
 
     @property
     def mean(self) -> float:

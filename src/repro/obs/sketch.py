@@ -41,6 +41,7 @@ regardless of population size once collapsed.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from typing import Any
 
 __all__ = ["QuantileSketch", "DEFAULT_RELATIVE_ERROR", "DEFAULT_EXACT_LIMIT"]
@@ -143,6 +144,41 @@ class QuantileSketch:
     def observe(self, value: float) -> None:
         """Histogram-compatible alias for :meth:`add` with count 1."""
         self.add(value)
+
+    def add_many(self, values: Sequence[float]) -> None:
+        """Observe each of ``values`` once — the same state as one
+        :meth:`add` per value, in order.
+
+        ``sum`` accumulates in the given order, so float sums keep their
+        bits.  The exact map may collapse only after the whole batch is in,
+        which ends in the same buckets: a collapse moves every exact count
+        into the bucket its value would have gone to.
+        """
+        if not values:
+            return
+        low, high = min(values), max(values)
+        if low < 0:
+            raise ValueError(f"sketch values must be >= 0, got {low}")
+        self.count += len(values)
+        total = self.sum
+        for value in values:
+            total += value
+        self.sum = total
+        self.min = low if self.min is None else min(self.min, low)
+        self.max = high if self.max is None else max(self.max, high)
+        exact = self._exact
+        if exact is not None:
+            for value in values:
+                exact[value] = exact.get(value, 0) + 1
+            if self.relative_error > 0 and len(exact) > self.exact_limit:
+                self._collapse()
+            return
+        for value in values:
+            if value == 0:
+                self._zero += 1
+            else:
+                index = self._bucket_index(value)
+                self._buckets[index] = self._buckets.get(index, 0) + 1
 
     def _bucket_index(self, value: float) -> int:
         return math.ceil(math.log(value) / self._log_gamma - _INDEX_EPS)

@@ -25,6 +25,7 @@ wall clocks — time is whatever integer coordinate the caller supplies.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from typing import Any
 
 from .sketch import DEFAULT_RELATIVE_ERROR, QuantileSketch
@@ -89,13 +90,52 @@ class TimeSeries:
         """Set gauge ``name`` in ``time``'s window (last write wins)."""
         self._window_of(time).gauges[name] = value
 
-    def observe(self, name: str, time: int, value: float) -> None:
-        """Feed ``value`` into the per-window sketch for ``name``."""
-        stats = self._window_of(time)
+    def _sketch_of(self, stats: WindowStats, name: str) -> QuantileSketch:
         sketch = stats.sketches.get(name)
         if sketch is None:
             sketch = stats.sketches[name] = QuantileSketch(self.relative_error)
-        sketch.add(value)
+        return sketch
+
+    def observe(self, name: str, time: int, value: float) -> None:
+        """Feed ``value`` into the per-window sketch for ``name``."""
+        self._sketch_of(self._window_of(time), name).add(value)
+
+    def record_many(
+        self,
+        times: Sequence[int],
+        *,
+        counters: Sequence[str] = (),
+        sketches: Mapping[str, Sequence[float]] | None = None,
+        gauges: Mapping[str, Sequence[float]] | None = None,
+    ) -> None:
+        """Bulk ingest: the same state as, for each ``i`` in order,
+        ``count(name, times[i])`` for every name in ``counters``, then
+        ``observe(name, times[i], values[i])`` for every sketch series, then
+        ``gauge(name, times[i], values[i])`` for every gauge series.
+
+        Each run of consecutive times in one window looks its window up
+        once.  Sketch values go in one by one, in the given order
+        (:meth:`QuantileSketch.add_many`, never as ``value * count``), so
+        sketch sums keep their bits; a counter gains the run length at once,
+        which is exact because its total is an integer-valued float.
+        """
+        sketches = sketches or {}
+        gauges = gauges or {}
+        total = len(times)
+        lo = 0
+        while lo < total:
+            stats = self._window_of(times[lo])
+            key = times[lo] // self.window
+            hi = lo + 1
+            while hi < total and times[hi] // self.window == key:
+                hi += 1
+            for name in counters:
+                stats.counters[name] = stats.counters.get(name, 0.0) + (hi - lo)
+            for name, values in sketches.items():
+                self._sketch_of(stats, name).add_many(values[lo:hi])
+            for name, values in gauges.items():
+                stats.gauges[name] = values[hi - 1]
+            lo = hi
 
     # -------------------------------------------------------------- queries
     @property

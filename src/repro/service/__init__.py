@@ -14,9 +14,9 @@ concurrent sessions sharing source fan-out and backbone capacity:
   across the ``exec`` process pool while amortizing schedule compilation
   through the shared :class:`~repro.exec.cache.ScheduleCache`;
 * :mod:`repro.service.slo` — per-session and fleet SLOs
-  (:class:`SessionSLO`, :class:`FleetSLOReport` with exact pooled
-  percentiles, and the streaming :class:`FleetAggregator` whose sketch mode
-  bounds memory at fleet scale).
+  (:class:`SessionSLO`, the columnar batch record :class:`SessionColumns`,
+  :class:`FleetSLOReport` with exact pooled percentiles, and the streaming
+  :class:`FleetAggregator` whose sketch mode bounds memory at fleet scale).
 
 Fleet-scale telemetry (``docs/TELEMETRY.md``): :class:`FleetTelemetry`
 records tumbling-window time series and pipeline spans for a run;
@@ -38,6 +38,7 @@ from repro.service.runner import (
 from repro.service.slo import (
     FleetAggregator,
     FleetSLOReport,
+    SessionColumns,
     SessionSLO,
     aggregate_fleet,
     pooled_percentile,
@@ -66,6 +67,7 @@ __all__ = [
     "FleetSpec",
     "FleetTelemetry",
     "ResolvedSession",
+    "SessionColumns",
     "SessionManager",
     "SessionSLO",
     "SessionSpec",

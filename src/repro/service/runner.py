@@ -25,11 +25,13 @@
 4. **aggregate** per-session SLOs and admission decisions into the fleet
    report (exact pooled percentiles, reject rate, cache hit-rate).
 
-Aggregation is **streaming**: each session SLO folds into a
-:class:`~repro.service.slo.FleetAggregator` through the executor's
-``on_result`` callback the moment its shard completes — with
-``FleetSpec.aggregation="sketch"`` nothing per-session is ever
-materialized, which is what lets ``bench_fleet_scale.py`` run 10k+
+Aggregation is **streaming** and **columnar**: each unit returns its
+sessions' SLOs as :class:`~repro.service.slo.SessionColumns`, which fold
+into a :class:`~repro.service.slo.FleetAggregator` — and feed the
+telemetry series, the convergence detector and the control epoch's delays
+— through the executor's ``on_result`` callback the moment the unit
+completes.  With ``FleetSpec.aggregation="sketch"`` no per-session object
+is ever built, which is what lets ``bench_fleet_scale.py`` run 10k+
 sessions in bounded memory.  ``FleetSpec.run_until_converged`` executes
 admitted sessions in batches and stops early once the tracked SLO
 quantile's confidence interval is narrow enough
@@ -44,6 +46,7 @@ Everything is deterministic in ``FleetSpec.seed`` regardless of worker count.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Any, Callable, ContextManager
@@ -73,6 +76,7 @@ from repro.service.admission import AdmissionDecision, SessionManager
 from repro.service.slo import (
     FleetAggregator,
     FleetSLOReport,
+    SessionColumns,
     SessionSLO,
     pooled_percentile,
     score_session,
@@ -141,7 +145,9 @@ def fleet_session_task(task: tuple[Any, ...]) -> SessionSLO:
     return slo
 
 
-def fleet_unit_task(unit: tuple[Any, ...]) -> list[tuple[int, SessionSLO]]:
+def fleet_unit_task(
+    unit: tuple[Any, ...],
+) -> tuple[tuple[int, ...], SessionColumns]:
     """Executor worker: score one execution unit — a batch group or one
     scalar session.
 
@@ -156,16 +162,17 @@ def fleet_unit_task(unit: tuple[Any, ...]) -> list[tuple[int, SessionSLO]]:
       :func:`fleet_session_task` (ABR sessions, and fleets running with
       ``execution="scalar"``).
 
-    Returns ``(task_index, SessionSLO)`` pairs in member order; the task
-    index is fleet-global so the runner can attribute results (telemetry
-    windows, shard timings) to the right session no matter how sessions
-    were grouped.  Per-session counters/histograms match the scalar worker
-    exactly, so registry snapshots are grouping-independent.
+    Returns ``(task_indices, columns)``: the members' SLOs as
+    :class:`~repro.service.slo.SessionColumns`, in member order, and their
+    fleet-global task indices, so the runner can attribute results
+    (telemetry windows, shard timings) to the right session no matter how
+    sessions were grouped.  Per-session counters/histograms match the
+    scalar worker exactly, so registry snapshots are grouping-independent.
     """
     kind = unit[0]
     if kind == "scalar":
         _, task_index, task = unit
-        return [(task_index, fleet_session_task(task))]
+        return (task_index,), SessionColumns.from_slos([fleet_session_task(task)])
     _, token, drop_rate, num_packets, horizon, members = unit
     label = members[0][2]
     with worker_span(
@@ -181,23 +188,24 @@ def fleet_unit_task(unit: tuple[Any, ...]) -> list[tuple[int, SessionSLO]]:
             keep_node_columns=True,
         )
         registry = active_registry()
-        slos = score_batch_sessions(
+        # from_slos returns columns as they are; it only converts a scorer
+        # that hands back a plain SessionSLO list.
+        columns = SessionColumns.from_slos(score_batch_sessions(
             batch,
             session_ids=[member[1] for member in members],
             labels=[member[2] for member in members],
             wait_slots=[member[5] for member in members],
             statuses=[member[3] for member in members],
-        )
+        ))
         for label, count in Counter(member[2] for member in members).items():
             registry.counter(FLEET_SESSIONS_REPLAYED, label=label).inc(count)
-        startup_hist = registry.histogram(FLEET_STARTUP_DELAY)
-        rebuffer_hist = registry.histogram(FLEET_REBUFFER_RATIO)
-        out: list[tuple[int, SessionSLO]] = []
-        for (task_index, *_), slo in zip(members, slos):
-            startup_hist.observe(slo.startup_delay)
-            rebuffer_hist.observe(slo.rebuffer_ratio)
-            out.append((task_index, slo))
-    return out
+        registry.histogram(FLEET_STARTUP_DELAY).observe_many(
+            columns.startup_delay.tolist()
+        )
+        registry.histogram(FLEET_REBUFFER_RATIO).observe_many(
+            columns.rebuffer_ratio.tolist()
+        )
+    return tuple(member[0] for member in members), columns
 
 
 class FleetTelemetry:
@@ -234,6 +242,24 @@ class FleetTelemetry:
         self.series.observe(FLEET_STARTUP_DELAY, arrival_slot, slo.startup_delay)
         self.series.observe(FLEET_REBUFFER_RATIO, arrival_slot, slo.rebuffer_ratio)
         self.series.gauge(FLEET_GOODPUT, arrival_slot, slo.goodput)
+
+    def record_sessions(
+        self, columns: SessionColumns, arrival_slots: Sequence[int]
+    ) -> None:
+        """Window a batch of completed sessions, read from their columns.
+
+        The same series state as one :meth:`record_session` per session,
+        in order, without building any :class:`SessionSLO`.
+        """
+        self.series.record_many(
+            arrival_slots,
+            counters=(FLEET_SESSIONS_COMPLETED,),
+            sketches={
+                FLEET_STARTUP_DELAY: columns.startup_delay.tolist(),
+                FLEET_REBUFFER_RATIO: columns.rebuffer_ratio.tolist(),
+            },
+            gauges={FLEET_GOODPUT: columns.goodput.tolist()},
+        )
 
     def rows(self) -> list[dict[str, Any]]:
         """Flat (window, series) rows for table rendering."""
@@ -517,17 +543,20 @@ class FleetRunner:
                     return 0
                 units, unit_members = build_units(window, base)
 
-                def on_result(index: int, pairs: list[tuple[int, SessionSLO]]) -> None:
-                    aggregator.add_sessions([slo for _, slo in pairs])
+                def on_result(
+                    index: int, result: tuple[tuple[int, ...], SessionColumns]
+                ) -> None:
+                    task_indices, columns = result
+                    aggregator.add_sessions(columns)
                     if controlled:
-                        epoch_delays.extend(slo.startup_delay for _, slo in pairs)
-                    if telemetry is None and detector is None:
-                        return
-                    for task_index, slo in pairs:
-                        if telemetry is not None:
-                            telemetry.record_session(slo, task_arrivals[task_index])
-                        if detector is not None:
-                            detector.add(slo.startup_delay)
+                        epoch_delays.extend(columns.startup_delay.tolist())
+                    if telemetry is not None:
+                        telemetry.record_sessions(
+                            columns, [task_arrivals[i] for i in task_indices]
+                        )
+                    if detector is not None:
+                        for delay in columns.startup_delay.tolist():
+                            detector.add(delay)
 
                 executor.map(
                     fleet_unit_task, units, payload=schedules,

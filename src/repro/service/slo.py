@@ -11,28 +11,37 @@ capacity literature adds (reject rate, queue wait):
   rebuffer ratio, per-node playback-delay and buffer percentiles, goodput —
   carrying compact ``(value, count)`` distributions so fleet-level
   percentiles pool *exactly* across sessions;
+* :func:`score_batch_sessions` scores a whole kernel batch at once into
+  :class:`SessionColumns`: one column per :class:`SessionSLO` field plus the
+  batch's ``(B, nodes)`` per-node delay and buffer matrices.  It reads like
+  a ``Sequence[SessionSLO]``, but builds those objects (all at once) only
+  when an item is read;
 * :class:`FleetSLOReport` aggregates sessions + admission decisions into the
   fleet report (p50/p95/p99 over the pooled per-node populations, reject
   rate, schedule-cache amortization) and round-trips through
   ``reporting/export.py``;
 * :class:`FleetAggregator` is the streaming aggregator behind
   :func:`aggregate_fleet`: admission decisions and session SLOs fold into
-  mergeable :class:`~repro.obs.sketch.QuantileSketch` populations one at a
-  time, so fleet percentiles never require materializing per-session
-  results.  ``relative_error=0`` (the :func:`aggregate_fleet` default)
-  keeps every sketch in exact mode — reports are identical to the historical
+  mergeable :class:`~repro.obs.sketch.QuantileSketch` populations as they
+  arrive.  The fold reads columns: one ``bincount`` each pools the startup
+  column and the per-node matrices, and any plain ``SessionSLO`` sequence
+  is first converted by :meth:`SessionColumns.from_slos` — there is one
+  fold path, and a sketch-mode fleet never builds a per-session object.
+  ``relative_error=0`` (the :func:`aggregate_fleet` default) keeps every
+  sketch in exact mode — reports are identical to the historical
   Counter-based pooling; ``relative_error>0`` bounds memory at fleet scale
   with the sketch's documented error guarantee (see ``docs/TELEMETRY.md``).
 """
-
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping, Sequence
-from typing import Any
-from dataclasses import asdict, dataclass
+from collections.abc import Iterator, Mapping, Sequence
+from typing import Any, overload
+from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.core.errors import ReproError
 from repro.exec.batch import BatchMetrics
@@ -42,6 +51,7 @@ from repro.obs.sketch import QuantileSketch
 __all__ = [
     "pooled_percentile",
     "SessionSLO",
+    "SessionColumns",
     "FleetSLOReport",
     "FleetAggregator",
     "score_session",
@@ -260,6 +270,193 @@ def _row_histograms(
     ]
 
 
+#: :class:`SessionSLO` field names in declaration (constructor) order.
+_SLO_FIELDS = tuple(field.name for field in fields(SessionSLO))
+_slo_fields = attrgetter(*_SLO_FIELDS)
+
+
+class SessionColumns(Sequence[SessionSLO]):
+    """The SLOs of a batch of sessions, stored column by column.
+
+    A read-only ``Sequence[SessionSLO]``: ``len``, indexing and iteration
+    work as on a list, but the :class:`SessionSLO` objects are only built
+    when someone reads an item, and then all at once (one vectorized
+    :func:`_row_histograms` pass per matrix).  The fleet fold
+    (:meth:`FleetAggregator.add_sessions`) reads the columns directly, so a
+    sketch-mode run never builds them at all.
+
+    Attributes:
+        session_ids / wait_slots / startup_delay / delay_p50 / delay_p95 /
+            delay_p99 / buffer_p50 / buffer_p99 / num_nodes / num_packets:
+            ``(B,)`` int64 columns of the :class:`SessionSLO` fields of the
+            same names.
+        rebuffer_ratio / goodput: ``(B,)`` float64 columns.
+        labels / statuses / qoe: per-session tuples.
+        delays / buffers: ``(B, width)`` per-node playback-delay and
+            peak-buffer matrices; a session with fewer than ``width``
+            nodes pads its row with ``-1``, which no fold counts.
+
+    Build one with :func:`score_batch_sessions` (from a kernel batch) or
+    :meth:`from_slos` (from any ``SessionSLO`` sequence).
+    """
+
+    __slots__ = (
+        "session_ids", "labels", "statuses", "wait_slots", "startup_delay",
+        "rebuffer_ratio", "goodput", "delay_p50", "delay_p95", "delay_p99",
+        "buffer_p50", "buffer_p99", "num_nodes", "num_packets", "delays",
+        "buffers", "qoe", "_items",
+    )
+
+    def __init__(
+        self,
+        *,
+        session_ids: npt.ArrayLike,
+        labels: Sequence[str],
+        statuses: Sequence[str],
+        wait_slots: npt.ArrayLike,
+        startup_delay: npt.ArrayLike,
+        rebuffer_ratio: npt.ArrayLike,
+        goodput: npt.ArrayLike,
+        delay_p50: npt.ArrayLike,
+        delay_p95: npt.ArrayLike,
+        delay_p99: npt.ArrayLike,
+        buffer_p50: npt.ArrayLike,
+        buffer_p99: npt.ArrayLike,
+        num_nodes: npt.ArrayLike,
+        num_packets: npt.ArrayLike,
+        delays: npt.NDArray[np.integer],
+        buffers: npt.NDArray[np.integer],
+        qoe: Sequence[dict | None] | None = None,
+        items: tuple[SessionSLO, ...] | None = None,
+    ) -> None:
+        def ints(column: npt.ArrayLike) -> npt.NDArray[np.int64]:
+            return np.asarray(column, dtype=np.int64)
+
+        self.session_ids = ints(session_ids)
+        total = len(self.session_ids)
+        self.labels = tuple(labels)
+        self.statuses = tuple(statuses)
+        self.wait_slots = ints(wait_slots)
+        self.startup_delay = ints(startup_delay)
+        self.rebuffer_ratio = np.asarray(rebuffer_ratio, dtype=np.float64)
+        self.goodput = np.asarray(goodput, dtype=np.float64)
+        self.delay_p50 = ints(delay_p50)
+        self.delay_p95 = ints(delay_p95)
+        self.delay_p99 = ints(delay_p99)
+        self.buffer_p50 = ints(buffer_p50)
+        self.buffer_p99 = ints(buffer_p99)
+        self.num_nodes = ints(num_nodes)
+        self.num_packets = ints(num_packets)
+        self.delays = delays
+        self.buffers = buffers
+        self.qoe = tuple(qoe) if qoe is not None else (None,) * total
+        self._items = items
+        if not (
+            len(self.labels) == len(self.statuses) == len(self.qoe)
+            == len(self.startup_delay) == len(delays) == len(buffers) == total
+        ):
+            raise ReproError("session columns must all have one row per session")
+
+    @classmethod
+    def from_slos(cls, slos: Sequence[SessionSLO]) -> "SessionColumns":
+        """Columns of a plain ``SessionSLO`` sequence (returned as is when
+        it already is a :class:`SessionColumns`).
+
+        The per-node matrices are rebuilt from each session's compact
+        histograms; the given objects are kept as the items, so reading
+        the result back returns them unchanged.
+        """
+        if isinstance(slos, SessionColumns):
+            return slos
+        items = tuple(slos)
+        total = len(items)
+        (
+            ids, labels, statuses, waits, startup, rebuffer, d50, d95, d99,
+            b50, b99, goodput, nodes, packets, delay_counts, buffer_counts, qoe,
+        ) = list(zip(*map(_slo_fields, items))) or [()] * len(_SLO_FIELDS)
+        width = max(nodes, default=0)
+
+        def matrix(histograms: tuple[tuple[tuple[int, int], ...], ...]) -> np.ndarray:
+            rows = [
+                [value for value, count in histogram for _ in range(count)]
+                for histogram in histograms
+            ]
+            return np.array(
+                [row + [-1] * (width - len(row)) for row in rows], dtype=np.int64
+            ).reshape(total, width)
+
+        ints = np.array(
+            [ids, waits, startup, d50, d95, d99, b50, b99, nodes, packets],
+            dtype=np.int64,
+        ).reshape(10, total)
+        floats = np.array([rebuffer, goodput], dtype=np.float64).reshape(2, total)
+        return cls(
+            session_ids=ints[0],
+            labels=labels,
+            statuses=statuses,
+            wait_slots=ints[1],
+            startup_delay=ints[2],
+            rebuffer_ratio=floats[0],
+            goodput=floats[1],
+            delay_p50=ints[3],
+            delay_p95=ints[4],
+            delay_p99=ints[5],
+            buffer_p50=ints[6],
+            buffer_p99=ints[7],
+            num_nodes=ints[8],
+            num_packets=ints[9],
+            delays=matrix(delay_counts),
+            buffers=matrix(buffer_counts),
+            qoe=qoe,
+            items=items,
+        )
+
+    def _materialize(self) -> tuple[SessionSLO, ...]:
+        """Every session's :class:`SessionSLO`, built once, in bulk."""
+        if self._items is None:
+            self._items = tuple(
+                map(
+                    SessionSLO,
+                    self.session_ids.tolist(),
+                    self.labels,
+                    self.statuses,
+                    self.wait_slots.tolist(),
+                    self.startup_delay.tolist(),
+                    self.rebuffer_ratio.tolist(),
+                    self.delay_p50.tolist(),
+                    self.delay_p95.tolist(),
+                    self.delay_p99.tolist(),
+                    self.buffer_p50.tolist(),
+                    self.buffer_p99.tolist(),
+                    self.goodput.tolist(),
+                    self.num_nodes.tolist(),
+                    self.num_packets.tolist(),
+                    _row_histograms(self.delays),
+                    _row_histograms(self.buffers),
+                    self.qoe,
+                )
+            )
+        return self._items
+
+    def __len__(self) -> int:
+        return len(self.session_ids)
+
+    @overload
+    def __getitem__(self, index: int) -> SessionSLO: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> tuple[SessionSLO, ...]: ...
+
+    def __getitem__(self, index: int | slice) -> SessionSLO | tuple[SessionSLO, ...]:
+        return self._materialize()[index]
+
+    def __iter__(self) -> Iterator[SessionSLO]:
+        return iter(self._materialize())
+
+    def __repr__(self) -> str:
+        return f"SessionColumns(sessions={len(self)})"
+
+
 def score_batch_sessions(
     batch: BatchMetrics,
     *,
@@ -267,15 +464,15 @@ def score_batch_sessions(
     labels: Sequence[str],
     wait_slots: Sequence[int] | None = None,
     statuses: Sequence[str] | None = None,
-) -> list[SessionSLO]:
+) -> SessionColumns:
     """Score every session of a batched kernel result in one column pass.
 
-    Produces exactly ``[score_session_columns(batch, i, ...) for i]`` — the
-    per-session histograms, nearest-rank percentiles, and aggregates are
-    computed from the batch's ``(B, num_nodes)`` delay/buffer columns with
-    whole-matrix NumPy reductions instead of one Python ``Counter`` pass
-    per session, which is what keeps fleet-scale SLO scoring off the
-    profile.
+    Reading item ``i`` of the result gives exactly
+    ``score_session_columns(batch, i, ...)``, but nothing per session is
+    built here: the nearest-rank percentiles and aggregates come from the
+    batch's ``(B, num_nodes)`` delay/buffer columns by whole-matrix NumPy
+    reductions, and the returned :class:`SessionColumns` keeps the two
+    matrices for the fold.
     """
     if batch.node_delays is None or batch.node_buffers is None:
         raise ReproError(
@@ -293,9 +490,6 @@ def score_batch_sessions(
         raise ReproError("wait_slots/statuses must align with the batch")
     num_nodes = batch.num_nodes
     num_packets = batch.num_packets
-
-    delay_counts = _row_histograms(batch.node_delays)
-    buffer_counts = _row_histograms(batch.node_buffers)
     sorted_delays = np.sort(batch.node_delays, axis=1)
     sorted_buffers = np.sort(batch.node_buffers, axis=1)
 
@@ -303,29 +497,25 @@ def score_batch_sessions(
         # pooled_percentile's nearest rank over a population of num_nodes.
         return max(1, -(-int(q * num_nodes) // 100)) - 1
 
-    d50, d95, d99 = (sorted_delays[:, rank(q)] for q in (50, 95, 99))
-    b50, b99 = (sorted_buffers[:, rank(q)] for q in (50, 99))
-    return [
-        SessionSLO(
-            session_id=session_ids[i],
-            label=labels[i],
-            status=kinds[i],
-            wait_slots=waits[i],
-            startup_delay=int(sorted_delays[i, -1]) + waits[i],
-            rebuffer_ratio=int(batch.residual[i]) / (num_nodes * num_packets),
-            delay_p50=int(d50[i]),
-            delay_p95=int(d95[i]),
-            delay_p99=int(d99[i]),
-            buffer_p50=int(b50[i]),
-            buffer_p99=int(b99[i]),
-            goodput=int(batch.available[i]) / (num_nodes * batch.num_slots),
-            num_nodes=num_nodes,
-            num_packets=num_packets,
-            delay_counts=delay_counts[i],
-            buffer_counts=buffer_counts[i],
-        )
-        for i in range(total)
-    ]
+    wait_column = np.asarray(waits, dtype=np.int64)
+    return SessionColumns(
+        session_ids=session_ids,
+        labels=labels,
+        statuses=kinds,
+        wait_slots=wait_column,
+        startup_delay=sorted_delays[:, -1] + wait_column,
+        rebuffer_ratio=batch.residual / (num_nodes * num_packets),
+        goodput=batch.available / (num_nodes * batch.num_slots),
+        delay_p50=sorted_delays[:, rank(50)],
+        delay_p95=sorted_delays[:, rank(95)],
+        delay_p99=sorted_delays[:, rank(99)],
+        buffer_p50=sorted_buffers[:, rank(50)],
+        buffer_p99=sorted_buffers[:, rank(99)],
+        num_nodes=np.full(total, num_nodes),
+        num_packets=np.full(total, num_packets),
+        delays=batch.node_delays,
+        buffers=batch.node_buffers,
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -421,6 +611,15 @@ class FleetSLOReport:
         return cls(sessions=tuple(sessions), qoe_tiers=qoe_tiers, **payload)
 
 
+def _fold_counts(sketch: QuantileSketch, values: np.ndarray) -> None:
+    """Add every non-negative entry of ``values`` to ``sketch``, one
+    ``add(value, count)`` per distinct value (``-1`` padding is skipped)."""
+    counts = np.bincount(values[values >= 0])
+    present = np.flatnonzero(counts)
+    for value, count in zip(present.tolist(), counts[present].tolist()):
+        sketch.add(value, count)
+
+
 class FleetAggregator:
     """Streaming fleet-SLO aggregation with bounded memory.
 
@@ -493,53 +692,36 @@ class FleetAggregator:
 
     def add_session(self, slo: SessionSLO) -> None:
         """Fold one session's SLO into the pooled populations."""
-        self._startup.add(slo.startup_delay)
-        for value, count in slo.delay_counts:
-            self._delay.add(value, count)
-        for value, count in slo.buffer_counts:
-            self._buffer.add(value, count)
-        self._slos += 1
-        self._rebuffer_sum += slo.rebuffer_ratio
-        self._rebuffer_max = max(self._rebuffer_max, slo.rebuffer_ratio)
-        self._goodput_sum += slo.goodput
-        if slo.qoe is not None:
-            self._tiers[slo.qoe["tier"]] += 1
-        if self.keep_sessions:
-            self._sessions.append(slo)
+        self.add_sessions((slo,))
 
     def add_sessions(self, slos: Sequence[SessionSLO]) -> None:
         """Fold many SLOs at once — identical end state to one-at-a-time.
 
-        Pools the sessions' compact histograms into plain ``Counter``s
-        first and folds each distinct value into the quantile sketches
-        once, so a fleet-sized batch costs sketch updates proportional to
-        its distinct delay/buffer values rather than to sessions x nodes.
-        The scalar tallies accumulate in session order, so float sums
-        (``rebuffer_mean``) match the one-at-a-time fold bit for bit.
+        Reads the sessions as :class:`SessionColumns` (a plain sequence is
+        converted by :meth:`SessionColumns.from_slos`): one ``bincount``
+        each pools the startup column and the per-node delay and buffer
+        matrices, and each distinct value folds into its quantile sketch
+        once.  The float tallies accumulate in session order, so
+        ``rebuffer_mean`` and ``goodput_mean`` match the one-at-a-time fold
+        bit for bit.  No :class:`SessionSLO` is built unless
+        ``keep_sessions`` retains them.
         """
-        startup_pool: Counter[int] = Counter()
-        delay_pool: Counter[int] = Counter()
-        buffer_pool: Counter[int] = Counter()
-        for slo in slos:
-            startup_pool[slo.startup_delay] += 1
-            for value, count in slo.delay_counts:
-                delay_pool[value] += count
-            for value, count in slo.buffer_counts:
-                buffer_pool[value] += count
-            self._slos += 1
-            self._rebuffer_sum += slo.rebuffer_ratio
-            self._rebuffer_max = max(self._rebuffer_max, slo.rebuffer_ratio)
-            self._goodput_sum += slo.goodput
-            if slo.qoe is not None:
-                self._tiers[slo.qoe["tier"]] += 1
-            if self.keep_sessions:
-                self._sessions.append(slo)
-        for value, count in startup_pool.items():
-            self._startup.add(value, count)
-        for value, count in delay_pool.items():
-            self._delay.add(value, count)
-        for value, count in buffer_pool.items():
-            self._buffer.add(value, count)
+        columns = SessionColumns.from_slos(slos)
+        if not len(columns):
+            return
+        _fold_counts(self._startup, columns.startup_delay)
+        _fold_counts(self._delay, columns.delays)
+        _fold_counts(self._buffer, columns.buffers)
+        self._slos += len(columns)
+        rebuffer = columns.rebuffer_ratio.tolist()
+        for ratio in rebuffer:
+            self._rebuffer_sum += ratio
+        self._rebuffer_max = max(self._rebuffer_max, max(rebuffer))
+        for goodput in columns.goodput.tolist():
+            self._goodput_sum += goodput
+        self._tiers.update(qoe["tier"] for qoe in columns.qoe if qoe is not None)
+        if self.keep_sessions:
+            self._sessions.extend(columns)
 
     def startup_sketch(self) -> QuantileSketch:
         """The pooled per-session startup-delay sketch (read-only use)."""
@@ -605,6 +787,5 @@ def aggregate_fleet(
     aggregator = FleetAggregator(relative_error=0.0, keep_sessions=True)
     for decision in decisions:
         aggregator.add_decision(decision)
-    for slo in session_slos:
-        aggregator.add_session(slo)
+    aggregator.add_sessions(session_slos)
     return aggregator.report(cache_hits=cache_hits, cache_misses=cache_misses)

@@ -379,6 +379,30 @@ class TestPrunedViews:
         assert _pruned_masks(schedule, view, [0.0, 0.0], [1, 2]) is None
 
 
+class TestMaskPrefix:
+    def test_prefix_rows_equal_full_rows_prefix(self, schedule):
+        seeds = [3, np.random.SeedSequence(11), 42, 7]
+        rates = [0.1, 0.0, 0.9, 0.5]
+        full = bernoulli_masks(schedule, rates, seeds)
+        assert full is not None
+        for length in (0, 1, 17, schedule.size // 2, schedule.size - 1, schedule.size):
+            drawn = bernoulli_masks(schedule, rates, seeds, length=length)
+            assert drawn is not None
+            assert drawn.shape == (len(seeds), length)
+            assert np.array_equal(drawn, full[:, :length]), length
+
+    def test_length_outside_the_timetable_is_rejected(self, schedule):
+        for length in (-1, schedule.size + 1):
+            with pytest.raises(ReproError):
+                bernoulli_masks(schedule, [0.1], [1], length=length)
+
+    def test_view_draws_through_its_last_kept_column(self):
+        compiled = compile_schedule("multi-tree", 31, 2, num_packets=8)
+        view = _prune(compiled, 8)
+        assert view.drawn == int(view.columns[-1]) + 1
+        assert (view.drawn, compiled.size) == (341, 821)
+
+
 class TestBufferPeakBlocks:
     def test_blocks_of_arrival_packets_agree(self):
         rng = np.random.default_rng(5)

@@ -128,6 +128,28 @@ class TestBucketedMode:
         assert sketch.quantile(50) == 0.0
 
 
+class TestAddMany:
+    @pytest.mark.parametrize("relative_error,limit", [(0.0, 4), (0.02, 3), (0.02, 64)])
+    def test_equals_add_loop(self, relative_error, limit):
+        # Repeated floats whose repeated sum differs from value * count.
+        values = [0.1, 0.7, 0.1, 0.0, 3.3, 0.1, 12.0, 0.7, 0.2]
+        loop = QuantileSketch(relative_error, exact_limit=limit)
+        bulk = QuantileSketch(relative_error, exact_limit=limit)
+        for value in values:
+            loop.add(value)
+        bulk.add_many(values[:2])
+        bulk.add_many([])
+        bulk.add_many(values[2:])  # may collapse here; limit 3 does
+        if limit == 3:
+            assert not bulk.is_exact
+        assert bulk.to_dict() == loop.to_dict()
+        assert bulk.sum.hex() == loop.sum.hex()
+
+    def test_negative_value_rejected(self):
+        with pytest.raises(ValueError):
+            QuantileSketch().add_many([1, -1])
+
+
 class TestMerge:
     def test_error_bound_mismatch_rejected(self):
         with pytest.raises(ValueError):

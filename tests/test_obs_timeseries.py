@@ -96,3 +96,29 @@ class TestRendering:
         assert payload["window"] == 2
         assert payload["windows"]["0"]["counters"] == {"a": 1.0}
         assert payload["windows"]["1"]["sketches"]["s"]["count"] == 1
+
+
+class TestRecordMany:
+    def _loop(self, times, counts, values, gauges):
+        ts = TimeSeries(window=4, relative_error=0.01)
+        for i, time in enumerate(times):
+            ts.count(counts, time)
+            ts.observe("s", time, values[i])
+            ts.gauge("g", time, gauges[i])
+        return ts
+
+    def test_equals_per_time_calls(self):
+        # Runs of one window, a window revisited later, repeated floats.
+        times = [0, 1, 3, 4, 4, 9, 2, 2, 13, 12]
+        values = [0.1, 0.1, 0.2, 0.3, 0.1, 0.7, 0.1, 0.1, 0.4, 0.2]
+        gauges = [float(i) for i in range(len(times))]
+        bulk = TimeSeries(window=4, relative_error=0.01)
+        bulk.record_many(
+            times, counters=("n",), sketches={"s": values}, gauges={"g": gauges}
+        )
+        loop = self._loop(times, "n", values, gauges)
+        assert json.dumps(bulk.to_dict()) == json.dumps(loop.to_dict())
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError):
+            TimeSeries(4).record_many([0, -1], counters=("n",))

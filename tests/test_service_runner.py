@@ -218,6 +218,24 @@ class TestFleetTelemetry:
         assert parallel_t.series.to_dict() == serial_t.series.to_dict()
 
 
+    def test_bulk_session_ingest_equals_record_session(self):
+        import json
+
+        from repro.service import FleetTelemetry
+        from repro.service.slo import SessionColumns
+
+        result = FleetRunner(policy=SERIAL).run(_small_fleet())
+        slos = list(result.report.sessions)
+        arrivals = [result.sessions[slo.session_id].arrival_slot for slo in slos]
+        one_by_one = FleetTelemetry(window=4, trace=False)
+        for slo, slot in zip(slos, arrivals, strict=True):
+            one_by_one.record_session(slo, slot)
+        bulk = FleetTelemetry(window=4, trace=False)
+        columns = SessionColumns.from_slos(slos)
+        bulk.record_sessions(columns, arrivals)
+        assert json.dumps(bulk.to_dict()) == json.dumps(one_by_one.to_dict())
+
+
 class TestAbrSessions:
     def _abr_fleet(self, **overrides) -> FleetSpec:
         return _small_fleet(

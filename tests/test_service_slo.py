@@ -3,15 +3,26 @@
 from __future__ import annotations
 
 import json
+import pickle
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.core.errors import ReproError
+from repro.exec import (
+    bernoulli_mask, compile_schedule, replay_arrivals, replay_batch, spawn_seeds,
+)
+from repro.obs import MetricsRegistry
 from repro.service.admission import AdmissionDecision
 from repro.service.slo import (
+    FleetAggregator,
     FleetSLOReport,
+    SessionColumns,
+    SessionSLO,
     aggregate_fleet,
     pooled_percentile,
+    score_batch_sessions,
     score_session,
 )
 
@@ -158,3 +169,220 @@ class TestAggregateFleet:
         report = aggregate_fleet(decisions, [self._slo(0)], cache_hits=1)
         payload = json.loads(json.dumps(report.to_dict()))
         assert FleetSLOReport.from_dict(payload) == report
+
+
+# --------------------------------------------------------------------------
+# Columnar scoring and folding
+# --------------------------------------------------------------------------
+
+SCHEMES = (("multi-tree", 15, 2), ("hypercube", 16, 3))
+
+
+def _scored_batch(scheme, nodes, degree, *, horizon_share=1.0, rate=0.1):
+    """A lossy kernel batch scored column-wise, plus what the scalar oracle
+    needs to score the same sessions one by one."""
+    schedule = compile_schedule(scheme, nodes, degree, num_packets=8)
+    horizon = max(1, int(horizon_share * schedule.num_slots))
+    num_packets = 8
+    if horizon < schedule.num_slots:
+        # The runner's churn rule: score only what the watched prefix carries.
+        num_packets = max(1, int(8 * horizon / schedule.num_slots))
+    seeds = spawn_seeds(17, 12)
+    batch = replay_batch(
+        schedule, seeds, rate, num_packets=num_packets, num_slots=horizon
+    )
+    ids = list(range(100, 100 + len(seeds)))
+    waits = [i % 3 for i in range(len(seeds))]
+    statuses = ["degraded" if i % 4 == 0 else "admitted" for i in range(len(seeds))]
+    columns = score_batch_sessions(
+        batch,
+        session_ids=ids,
+        labels=[scheme] * len(seeds),
+        wait_slots=waits,
+        statuses=statuses,
+    )
+    return schedule, seeds, horizon, num_packets, ids, waits, statuses, columns
+
+
+def _fold(slos, *, bulk, **options):
+    aggregator = FleetAggregator(**options)
+    for _ in range(len(slos)):
+        aggregator.add_decision(_decision(0, "admitted"))
+    if bulk:
+        aggregator.add_sessions(slos)
+    else:
+        for slo in slos:
+            aggregator.add_session(slo)
+    return aggregator
+
+
+class TestScoreBatchSessions:
+    @pytest.mark.parametrize("scheme,nodes,degree", SCHEMES)
+    @pytest.mark.parametrize("horizon_share", [1.0, 0.5])
+    def test_items_equal_scalar_oracle(self, scheme, nodes, degree, horizon_share):
+        (
+            schedule, seeds, horizon, num_packets, ids, waits, statuses, columns,
+        ) = _scored_batch(scheme, nodes, degree, horizon_share=horizon_share)
+        expected = [
+            score_session(
+                replay_arrivals(
+                    schedule,
+                    num_slots=horizon,
+                    drop_mask=bernoulli_mask(schedule, 0.1, seed),
+                ),
+                session_id=session_id,
+                label=scheme,
+                num_packets=num_packets,
+                num_slots=horizon,
+                wait_slots=wait,
+                status=status,
+            )
+            for seed, session_id, wait, status in zip(
+                seeds, ids, waits, statuses, strict=True
+            )
+        ]
+        assert isinstance(columns, SessionColumns)
+        assert len(columns) == len(expected)
+        assert list(columns) == expected
+        assert columns[3] == expected[3]
+        assert columns[-2:] == tuple(expected[-2:])
+        # Some sessions lost packets, so the identity covers the loss model.
+        assert any(slo.rebuffer_ratio > 0 for slo in expected)
+
+    def test_columns_hold_the_kernel_matrices(self):
+        *_, columns = _scored_batch("multi-tree", 15, 2)
+        assert columns.delays.shape == (len(columns), 15)
+        assert columns.buffers.shape == (len(columns), 15)
+        for slo, row in zip(columns, columns.delays, strict=True):
+            values, counts = np.unique(row, return_counts=True)
+            assert slo.delay_counts == tuple(
+                zip(values.tolist(), counts.tolist())
+            )
+
+    def test_from_slos_keeps_the_objects(self):
+        *_, columns = _scored_batch("hypercube", 16, 3)
+        slos = list(columns)
+        rebuilt = SessionColumns.from_slos(slos)
+        assert SessionColumns.from_slos(rebuilt) is rebuilt
+        assert all(a is b for a, b in zip(rebuilt, slos, strict=True))
+        for name in ("startup_delay", "rebuffer_ratio", "goodput", "delay_p99"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(columns, name))
+        assert np.array_equal(rebuilt.delays, np.sort(columns.delays, axis=1))
+
+    def test_pickle_round_trip(self):
+        *_, columns = _scored_batch("multi-tree", 15, 2)
+        restored = pickle.loads(pickle.dumps(columns))
+        assert isinstance(restored, SessionColumns)
+        assert list(restored) == list(columns)
+        assert (
+            _fold(restored, bulk=True).report()
+            == _fold(columns, bulk=True).report()
+        )
+
+
+class TestColumnFold:
+    @pytest.mark.parametrize("scheme,nodes,degree", SCHEMES)
+    def test_exact_fold_equals_one_at_a_time(self, scheme, nodes, degree):
+        *_, columns = _scored_batch(scheme, nodes, degree)
+        bulk = _fold(columns, bulk=True).report()
+        single = _fold(list(columns), bulk=False).report()
+        assert bulk == single
+        assert bulk.rebuffer_mean.hex() == single.rebuffer_mean.hex()
+        assert bulk.goodput_mean.hex() == single.goodput_mean.hex()
+        assert bulk.sessions == tuple(columns)
+
+    def test_exact_fold_pools_every_node(self):
+        *_, columns = _scored_batch("multi-tree", 15, 2)
+        report = _fold(columns, bulk=True).report()
+        delays = Counter(columns.delays.ravel().tolist())
+        buffers = Counter(columns.buffers.ravel().tolist())
+        assert report.delay_p99 == pooled_percentile(delays, 99)
+        assert report.buffer_p50 == pooled_percentile(buffers, 50)
+        total = 0.0
+        for slo in columns:
+            total += slo.rebuffer_ratio
+        assert report.rebuffer_mean == total / len(columns)
+
+    def test_sketch_fold_equals_one_at_a_time_through_a_collapse(self):
+        *_, columns = _scored_batch("multi-tree", 15, 2, rate=0.3)
+        options = dict(relative_error=0.05, exact_limit=2, keep_sessions=False)
+        bulk = _fold(columns, bulk=True, **options)
+        single = _fold(list(columns), bulk=False, **options)
+        assert not bulk.startup_sketch().is_exact  # the limit forced a collapse
+        assert bulk.report() == single.report()
+        assert bulk.report().sessions == ()
+        assert (
+            bulk.startup_sketch().to_dict() == single.startup_sketch().to_dict()
+        )
+
+    def test_plain_list_folds_identically(self):
+        *_, columns = _scored_batch("hypercube", 16, 3)
+        assert (
+            _fold(list(columns), bulk=True).report()
+            == _fold(columns, bulk=True).report()
+        )
+
+    def test_mixed_node_counts_fold_like_single_sessions(self):
+        *_, wide = _scored_batch("hypercube", 16, 3)
+        *_, narrow = _scored_batch("multi-tree", 15, 2)
+        mixed = [*list(wide)[:5], *list(narrow)[:5]]
+        columns = SessionColumns.from_slos(mixed)
+        assert columns.delays.shape == (10, 16)
+        assert (columns.delays[5:, 15] == -1).all()
+        assert (
+            _fold(mixed, bulk=True).report()
+            == _fold(mixed, bulk=False).report()
+        )
+
+    def test_float_tallies_accumulate_in_session_order(self):
+        # Ratios whose sum depends on the order of the additions.
+        slos = [
+            SessionSLO(
+                session_id=i, label="k", status="admitted", wait_slots=0,
+                startup_delay=3, rebuffer_ratio=0.1 * i, delay_p50=2,
+                delay_p95=3, delay_p99=3, buffer_p50=1, buffer_p99=1,
+                goodput=0.05 * i, num_nodes=2, num_packets=4,
+                delay_counts=((2, 1), (3, 1)), buffer_counts=((1, 2),),
+            )
+            for i in range(1, 13)
+        ]
+        aggregator = FleetAggregator()
+        for _ in slos:
+            aggregator.add_decision(_decision(0, "admitted"))
+        aggregator.add_sessions(slos[:1])
+        aggregator.add_sessions(SessionColumns.from_slos(slos[1:]))
+        report = aggregator.report()
+        rebuffer = goodput = 0.0
+        for slo in slos:
+            rebuffer += slo.rebuffer_ratio
+            goodput += slo.goodput
+        assert report.rebuffer_mean.hex() == (rebuffer / len(slos)).hex()
+        assert report.goodput_mean.hex() == (goodput / len(slos)).hex()
+        assert report == _fold(slos, bulk=False).report()
+
+    def test_empty_fold_is_a_no_op(self):
+        aggregator = FleetAggregator()
+        aggregator.add_sessions([])
+        assert aggregator.num_sessions_aggregated == 0
+
+
+class TestHistogramBulkObserve:
+    def test_equals_observe_loop(self):
+        *_, columns = _scored_batch("multi-tree", 15, 2, rate=0.3)
+        for values in (
+            columns.startup_delay.tolist(),
+            columns.rebuffer_ratio.tolist(),
+            # A second call's values summed on their own would round
+            # differently from the running sum.
+            [0.2, 0.001, 0.1, 0.3, 0.1, 3, 700, 2_000],
+        ):
+            loop = MetricsRegistry().histogram("h")
+            for value in values:
+                loop.observe(value)
+            bulk = MetricsRegistry().histogram("h")
+            bulk.observe_many(values[:1])
+            bulk.observe_many(values[1:])
+            bulk.observe_many([])
+            for name in ("bucket_counts", "count", "min", "max"):
+                assert getattr(bulk, name) == getattr(loop, name), name
+            assert bulk.sum.hex() == float(loop.sum).hex()
