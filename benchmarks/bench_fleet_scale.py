@@ -6,9 +6,11 @@ one :func:`~repro.exec.batch.replay_batch` call instead of one Python
 replay per session.  ``test_batched_kernel_at_100k_sessions`` runs a
 100,000-session fleet through the batched path in bounded memory (sketch
 aggregation, no per-session SLO list) and requires the batched kernel to be
-at least **5x** faster per session than the v1 scalar path
-(``execution="scalar"``) on the same workload — both timings land in
-``results/fleet_scale.json``.
+at least **5x** faster per session than the pure-Python oracle —
+``bernoulli_mask`` + ``replay_arrivals`` + ``score_session``, one session
+at a time — timed directly over the admitted sessions of a 10k-session
+fleet of the same workload in the same serial process.  Both timings land
+in ``results/fleet_scale.json``.
 
 The older amortization claim still holds and stays pinned: the shared
 content-addressed schedule cache turns 1000 session admissions into 8
@@ -36,10 +38,19 @@ from __future__ import annotations
 
 from conftest import report
 
+from repro.exec.compiler import compile_schedule
 from repro.exec.executor import ExecutorPolicy
+from repro.exec.replay import bernoulli_mask, replay_arrivals
 from repro.obs import Timer
 from repro.obs.convergence import ConvergenceCriterion
-from repro.service import CapacityModel, FleetRunner, FleetSpec, SessionSpec
+from repro.service import (
+    CapacityModel,
+    FleetRunner,
+    FleetRunResult,
+    FleetSpec,
+    SessionSpec,
+    score_session,
+)
 
 NUM_SESSIONS = 1000
 NUM_PACKETS = 8
@@ -62,14 +73,53 @@ SERIAL = ExecutorPolicy(mode="serial")
 
 
 BATCH_SESSIONS = 100_000
-SCALAR_SESSIONS = 10_000
+ORACLE_SESSIONS = 10_000
 MIN_SPEEDUP = 5.0
 
 
-def test_batched_kernel_at_100k_sessions():
-    """100k sessions through the batched kernel, >= 5x the scalar path."""
+def _oracle_replay(result: FleetRunResult, runner: FleetRunner) -> tuple[int, float]:
+    """Replay and score a run's admitted sessions with the pure-Python oracle.
 
-    def fleet_spec(num_sessions: int, execution: str) -> FleetSpec:
+    Each session draws its mask with ``bernoulli_mask``, replays with
+    ``replay_arrivals`` and scores with ``score_session`` — the per-session
+    path the batch kernel replaces.  Schedules come from the run's cache
+    before the clock starts.  Returns ``(sessions, seconds)``.
+    """
+    schedules = {}
+    work = []
+    for decision in result.decisions:
+        if not decision.admitted:
+            continue
+        session = result.sessions[decision.session_id]
+        kind = session.spec
+        key = (kind.label, decision.degree)
+        if key not in schedules:
+            schedules[key] = compile_schedule(
+                kind.scheme, kind.num_nodes, decision.degree,
+                num_packets=kind.num_packets, construction=kind.construction,
+                mode=kind.mode, latency=kind.latency, cache=runner.cache,
+            )
+        work.append((schedules[key], session, decision))
+    with Timer() as timer:
+        for schedule, session, decision in work:
+            horizon = decision.duration
+            num_packets = session.spec.num_packets
+            if horizon < schedule.num_slots:
+                num_packets = max(1, int(num_packets * horizon / schedule.num_slots))
+            mask = bernoulli_mask(schedule, session.spec.drop_rate, session.seed)
+            arrivals = replay_arrivals(schedule, num_slots=horizon, drop_mask=mask)
+            score_session(
+                arrivals, session_id=session.session_id, label=session.spec.label,
+                num_packets=num_packets, num_slots=horizon,
+                wait_slots=decision.wait_slots, status=decision.status,
+            )
+    return len(work), timer.elapsed
+
+
+def test_batched_kernel_at_100k_sessions():
+    """100k sessions through the batched kernel, >= 5x the per-session oracle."""
+
+    def fleet_spec(num_sessions: int) -> FleetSpec:
         return FleetSpec(
             sessions=CONFIGS,
             num_sessions=num_sessions,
@@ -78,62 +128,55 @@ def test_batched_kernel_at_100k_sessions():
             seed=21,
             aggregation="sketch",
             sketch_error=0.01,
-            execution=execution,
         )
 
     with Timer() as batch_timer:
-        batched = FleetRunner(policy=SERIAL).run(
-            fleet_spec(BATCH_SESSIONS, "batch")
-        )
-    # The scalar comparator replays the same workload's arrival prefix; a
-    # 10k subset keeps the bench bounded and per-session rates comparable
-    # (every session replays one of the same 8 compiled schedules).
-    with Timer() as scalar_timer:
-        scalar = FleetRunner(policy=SERIAL).run(
-            fleet_spec(SCALAR_SESSIONS, "scalar")
-        )
+        batched = FleetRunner(policy=SERIAL).run(fleet_spec(BATCH_SESSIONS))
+    # The oracle comparator replays the admitted sessions of a 10k fleet of
+    # the same workload; the subset keeps the bench bounded and per-session
+    # rates comparable (every session replays one of the same 8 compiled
+    # schedules).
+    runner = FleetRunner(policy=SERIAL)
+    oracle_sessions, oracle_replay = _oracle_replay(
+        runner.run(fleet_spec(ORACLE_SESSIONS)), runner
+    )
 
     batch_rate = batch_timer.elapsed / BATCH_SESSIONS
-    scalar_rate = scalar_timer.elapsed / SCALAR_SESSIONS
     # The 5x floor is on the replay kernel itself: shard timings cover
-    # exactly the replay+scoring work, so their sum isolates the kernel
-    # from admission control (which is identical in both modes and would
-    # otherwise dilute the ratio).
+    # exactly the batched replay+scoring work, so their sum isolates the
+    # kernel from admission control, which the oracle timing leaves out too.
     batch_replay = sum(row["elapsed_s"] for row in batched.shard_timings)
-    scalar_replay = sum(row["elapsed_s"] for row in scalar.shard_timings)
     batch_replay_rate = batch_replay / BATCH_SESSIONS
-    scalar_replay_rate = scalar_replay / SCALAR_SESSIONS
-    speedup = scalar_replay_rate / batch_replay_rate
+    oracle_replay_rate = oracle_replay / oracle_sessions
+    speedup = oracle_replay_rate / batch_replay_rate
 
     report_100k = batched.report
     assert report_100k.num_sessions == BATCH_SESSIONS
     assert report_100k.rejected == 0, "capacity was sized to admit everything"
     # Bounded memory: sketch aggregation never materializes the SLO list.
     assert report_100k.sessions == ()
-    assert batched.executor_info["execution"] == "batch"
     assert batched.executor_info["units"] < batched.executor_info["tasks"], (
         "batch grouping should collapse many sessions into few kernel calls"
     )
-    assert scalar.executor_info["execution"] == "scalar"
+    assert oracle_sessions == ORACLE_SESSIONS, "capacity was sized to admit everything"
     assert speedup >= MIN_SPEEDUP, (
-        f"batched kernel {speedup:.1f}x scalar (floor {MIN_SPEEDUP:.0f}x): "
+        f"batched kernel {speedup:.1f}x the oracle (floor {MIN_SPEEDUP:.0f}x): "
         f"{batch_replay_rate * 1e6:.0f}us vs "
-        f"{scalar_replay_rate * 1e6:.0f}us per session replayed"
+        f"{oracle_replay_rate * 1e6:.0f}us per session replayed"
     )
 
     lines = [
         f"batched fleet kernel ({BATCH_SESSIONS} sessions, "
         f"{len(CONFIGS)} configs, P={NUM_PACKETS}, sketch aggregation):",
         "",
-        f"  batched (execution=batch):   {batch_timer.elapsed:7.3f}s "
+        f"  batched fleet run:           {batch_timer.elapsed:7.3f}s "
         f"wall for {BATCH_SESSIONS} sessions "
         f"({batch_rate * 1e6:6.0f}us/session, "
         f"{batched.executor_info['units']} kernel calls, "
         f"replay {batch_replay_rate * 1e6:.0f}us/session)",
-        f"  scalar  (execution=scalar):  {scalar_timer.elapsed:7.3f}s "
-        f"wall for {SCALAR_SESSIONS} sessions "
-        f"({scalar_rate * 1e6:6.0f}us/session, "
-        f"replay {scalar_replay_rate * 1e6:.0f}us/session)",
+        f"  oracle (mask+replay+score):  {oracle_replay:7.3f}s "
+        f"for {oracle_sessions} admitted sessions "
+        f"(replay {oracle_replay_rate * 1e6:.0f}us/session)",
         f"  replay-kernel speedup: {speedup:.1f}x "
         f"(acceptance floor {MIN_SPEEDUP:.0f}x)",
         "",
@@ -150,12 +193,11 @@ def test_batched_kernel_at_100k_sessions():
         phases={
             "sessions": BATCH_SESSIONS,
             "batch_s": round(batch_timer.elapsed, 6),
-            "scalar_sessions": SCALAR_SESSIONS,
-            "scalar_s": round(scalar_timer.elapsed, 6),
+            "oracle_sessions": oracle_sessions,
+            "oracle_replay_s": round(oracle_replay, 6),
             "batch_us_per_session": round(batch_rate * 1e6, 2),
-            "scalar_us_per_session": round(scalar_rate * 1e6, 2),
             "batch_replay_us_per_session": round(batch_replay_rate * 1e6, 2),
-            "scalar_replay_us_per_session": round(scalar_replay_rate * 1e6, 2),
+            "oracle_replay_us_per_session": round(oracle_replay_rate * 1e6, 2),
             "speedup": round(speedup, 2),
             "kernel_calls": batched.executor_info["units"],
         },

@@ -19,7 +19,7 @@ rendering, and :meth:`to_dict` serializes the whole series (sketches via
 their own ``to_dict``) for export.
 
 The fleet runner feeds a ``TimeSeries`` from shard-completion callbacks
-(see :class:`repro.service.runner.FleetTelemetry`); nothing here touches
+(see :class:`repro.service.telemetry.FleetTelemetry`); nothing here touches
 wall clocks — time is whatever integer coordinate the caller supplies.
 """
 

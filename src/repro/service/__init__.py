@@ -18,8 +18,8 @@ concurrent sessions sharing source fan-out and backbone capacity:
   :class:`FleetSLOReport` with exact pooled percentiles, and the streaming
   :class:`FleetAggregator` whose sketch mode bounds memory at fleet scale).
 
-Fleet-scale telemetry (``docs/TELEMETRY.md``): :class:`FleetTelemetry`
-records tumbling-window time series and pipeline spans for a run;
+Fleet-scale telemetry (``docs/TELEMETRY.md``): :mod:`repro.service.telemetry`'s
+:class:`FleetTelemetry` records windowed time series and pipeline spans;
 ``FleetSpec(aggregation="sketch")`` streams aggregation through quantile
 sketches; ``FleetSpec(run_until_converged=True)`` stops once the p99 SLO
 estimate's confidence interval is tight (open-loop steady-state mode).
@@ -29,12 +29,7 @@ Entry points: ``repro.run(ExperimentSpec(kind="fleet", fleet=...))`` or the
 """
 
 from repro.service.admission import AdmissionDecision, SessionManager
-from repro.service.runner import (
-    FleetRunner,
-    FleetRunResult,
-    FleetTelemetry,
-    fleet_session_task,
-)
+from repro.service.runner import FleetRunner, FleetRunResult
 from repro.service.slo import (
     FleetAggregator,
     FleetSLOReport,
@@ -54,6 +49,7 @@ from repro.service.spec import (
     ResolvedSession,
     SessionSpec,
 )
+from repro.service.telemetry import FleetTelemetry
 
 __all__ = [
     "ADMISSION_POLICIES",
@@ -72,7 +68,6 @@ __all__ = [
     "SessionSLO",
     "SessionSpec",
     "aggregate_fleet",
-    "fleet_session_task",
     "pooled_percentile",
     "score_batch_sessions",
     "score_session",

@@ -464,6 +464,7 @@ def score_batch_sessions(
     labels: Sequence[str],
     wait_slots: Sequence[int] | None = None,
     statuses: Sequence[str] | None = None,
+    qoe: Sequence[dict | None] | None = None,
 ) -> SessionColumns:
     """Score every session of a batched kernel result in one column pass.
 
@@ -472,7 +473,8 @@ def score_batch_sessions(
     built here: the nearest-rank percentiles and aggregates come from the
     batch's ``(B, num_nodes)`` delay/buffer columns by whole-matrix NumPy
     reductions, and the returned :class:`SessionColumns` keeps the two
-    matrices for the fold.
+    matrices for the fold.  ``qoe`` passes per-session ABR QoE dicts
+    (``None`` for non-ABR sessions) through to the columns unchanged.
     """
     if batch.node_delays is None or batch.node_buffers is None:
         raise ReproError(
@@ -515,6 +517,7 @@ def score_batch_sessions(
         num_packets=np.full(total, num_packets),
         delays=batch.node_delays,
         buffers=batch.node_buffers,
+        qoe=qoe,
     )
 
 

@@ -17,7 +17,8 @@ spec always describes the same fleet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -95,8 +96,8 @@ class SessionSpec:
             raise ReproError(f"num_packets must be >= 1, got {self.num_packets}")
         if not 0 <= self.drop_rate <= 1:
             raise ReproError(f"drop_rate must be in [0, 1], got {self.drop_rate}")
-        if self.weight <= 0:
-            raise ReproError(f"session weight must be > 0, got {self.weight}")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ReproError(f"session weight must be finite and > 0, got {self.weight}")
         if self.repair_epsilon is not None:
             # Delegate the ε range check (and its error message) to the
             # repair subsystem's own policy.
@@ -141,8 +142,6 @@ class SessionSpec:
 
     def with_degree(self, degree: int) -> "SessionSpec":
         """A copy of this kind at a different degree (admission degrade)."""
-        from dataclasses import replace
-
         return replace(self, degree=degree, label="")
 
 
@@ -210,9 +209,9 @@ class FleetSpec:
         arrival: ``poisson`` (rate ``arrival_rate`` sessions/slot),
             ``uniform`` (spread over ``horizon`` slots), or ``trace``
             (explicit ``arrival_slots``).
-        arrival_rate: Poisson arrival intensity.
-        horizon: uniform-arrival window (defaults to
-            ``num_sessions / arrival_rate`` when unset).
+        arrival_rate: Poisson arrival intensity (finite, ``> 0``).
+        horizon: uniform-arrival window, ``>= 1`` (defaults to
+            ``num_sessions / arrival_rate`` when ``None``).
         arrival_slots: explicit arrival trace (``arrival="trace"``).
         seed: fleet RNG seed (arrivals, kind assignment, churn draws).
         capacity: shared-infrastructure budgets.
@@ -245,14 +244,6 @@ class FleetSpec:
             ``max_queue_slots``, and per-kind degrees between epochs.
             Mutually exclusive with ``run_until_converged`` (both reshape
             the execution loop).
-        execution: ``batch`` (the default) groups admitted sessions that
-            share a ``(schedule, drop_rate, packets, horizon)`` coordinate
-            and scores each group in one vectorized kernel pass
-            (:func:`repro.exec.replay_batch`); ``scalar`` replays one
-            session per executor task — the v1 path, kept for comparison
-            benchmarks.  Results are identical either way (ABR sessions
-            always execute scalar — their QoE playback loop is
-            per-session).
     """
 
     sessions: tuple[SessionSpec, ...] = (SessionSpec(),)
@@ -272,7 +263,6 @@ class FleetSpec:
     run_until_converged: bool = False
     convergence: ConvergenceCriterion | None = None
     controller: object | None = None
-    execution: str = "batch"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sessions", tuple(self.sessions))
@@ -288,6 +278,10 @@ class FleetSpec:
             )
         if self.arrival == "trace" and not self.arrival_slots:
             raise ReproError("arrival='trace' needs a non-empty arrival_slots")
+        if not (math.isfinite(self.arrival_rate) and self.arrival_rate > 0):
+            raise ReproError(f"arrival_rate must be finite and > 0, got {self.arrival_rate}")
+        if self.horizon is not None and self.horizon < 1:
+            raise ReproError(f"horizon must be >= 1 or None, got {self.horizon}")
         if self.policy not in ADMISSION_POLICIES:
             raise ReproError(
                 f"unknown admission policy {self.policy!r}; "
@@ -309,11 +303,6 @@ class FleetSpec:
         if not 0 < self.sketch_error < 1:
             raise ReproError(
                 f"sketch_error must be in (0, 1), got {self.sketch_error}"
-            )
-        if self.execution not in ("batch", "scalar"):
-            raise ReproError(
-                f"execution must be 'batch' or 'scalar', got "
-                f"{self.execution!r}"
             )
         if self.controller is not None:
             # Duck-typed (the control plane lives above the service layer;
@@ -339,7 +328,7 @@ class FleetSpec:
                 self.num_sessions, self.arrival_rate, seed=self.seed
             )
         if self.arrival == "uniform":
-            horizon = self.horizon or max(
+            horizon = self.horizon if self.horizon is not None else max(
                 1, round(self.num_sessions / self.arrival_rate)
             )
             return uniform_arrival_slots(self.num_sessions, horizon, seed=self.seed)

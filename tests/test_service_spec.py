@@ -166,6 +166,22 @@ class TestFleetSpec:
         with pytest.raises(ReproError):
             FleetSpec(min_degree=1)
 
+    @pytest.mark.parametrize(
+        ("build", "field"),
+        [
+            (lambda: FleetSpec(arrival_rate=float("nan")), "arrival_rate"),
+            (lambda: FleetSpec(arrival_rate=float("inf")), "arrival_rate"),
+            (lambda: SessionSpec(weight=float("nan")), "weight"),
+            (lambda: FleetSpec(arrival="uniform", horizon=0), "horizon"),
+        ],
+        ids=["rate-nan", "rate-inf", "weight-nan", "uniform-horizon-0"],
+    )
+    def test_bad_numbers_fail_at_construction(self, build, field):
+        # Each slips past a plain range check (NaN compares false, inf is
+        # > 0, horizon=0 is falsy), so each needs its own typed error.
+        with pytest.raises(ReproError, match=field):
+            build()
+
     def test_constant_vocabularies(self):
         assert ARRIVAL_PROCESSES == ("poisson", "uniform", "trace")
         assert ADMISSION_POLICIES == ("reject", "queue", "degrade")
