@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.core.errors import ReproError
+from repro.exec.batch import scalar_rate
 from repro.exec.compiler import COMPILABLE_SCHEMES
 from repro.obs.convergence import ConvergenceCriterion
 from repro.repair.slack import SlackPolicy
@@ -57,7 +58,7 @@ class SessionSpec:
             :class:`~repro.experiments.ExperimentSpec`).
         num_packets: measured stream prefix per session.
         drop_rate: Bernoulli per-transmission drop probability of this
-            session's loss profile.
+            session's loss profile (stored as a Python float).
         repair_epsilon: when set, the session is slack-provisioned for repair
             at rate ``1 - ε`` (see :class:`~repro.repair.slack.SlackPolicy`);
             admission charges the ``1/(1-ε)`` throughput overhead.
@@ -94,8 +95,10 @@ class SessionSpec:
             raise ReproError(f"num_nodes must be >= 1, got {self.num_nodes}")
         if self.num_packets < 1:
             raise ReproError(f"num_packets must be >= 1, got {self.num_packets}")
-        if not 0 <= self.drop_rate <= 1:
+        drop_rate = scalar_rate(self.drop_rate)
+        if drop_rate is None or not 0 <= drop_rate <= 1:
             raise ReproError(f"drop_rate must be in [0, 1], got {self.drop_rate}")
+        object.__setattr__(self, "drop_rate", drop_rate)
         if not (math.isfinite(self.weight) and self.weight > 0):
             raise ReproError(f"session weight must be finite and > 0, got {self.weight}")
         if self.repair_epsilon is not None:
