@@ -214,9 +214,7 @@ def offered_p99(
     worse than any SLO-compliant wait.  Requires ``aggregation="exact"``
     (per-session SLOs retained).
     """
-    counts: Counter[int] = Counter(
-        slo_row.startup_delay for slo_row in result.report.sessions
-    )
+    counts: Counter[int] = Counter(result.report.sessions.startup_delay.tolist())
     if result.report.rejected:
         counts[slo * penalty_factor] += result.report.rejected
     if not counts:

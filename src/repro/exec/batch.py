@@ -51,10 +51,13 @@ whole batch:
   arrived" sentinel), else ``int32``.  One code path serves both; the dtype
   comes from the view's arrival column.  The output columns keep their
   dtypes;
-* **loss-free sessions replay once per call**: a rate-0 session draws no
-  mask and never reads its seed, so every rate-0 session of a call scores
-  the same.  The kernel replays one such column and broadcasts its metrics
-  into all of their output rows; lossy sessions are chunked as usual.
+* **loss-free sessions replay once per schedule and horizon**: a rate-0
+  session draws no mask and never reads its seed, so every rate-0 session
+  of a view scores the same at one horizon.  The first call replays one
+  such column and caches its per-node scores, read-only, on the pruned
+  view under the horizon (:attr:`_Pruned.lossless`, so at most one entry
+  per horizon per view); every call broadcasts them into all of its rate-0
+  output rows.  Lossy sessions are chunked as usual.
 
 Results are slot-for-slot identical to
 :func:`~repro.exec.replay.replay_point` — including the loss model: a
@@ -77,7 +80,7 @@ the batch, of course).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import Any, Union
 
@@ -102,6 +105,14 @@ __all__ = [
 #: Accepted per-session seed types (``default_rng`` accepts both).
 Seed = Union[int, np.random.SeedSequence]
 
+#: Per-node ``(startup_delays, buffer_peaks, available_counts)`` of a batch,
+#: each ``(rows, B)``: what :func:`_score` returns.
+_Scores = tuple[
+    npt.NDArray[np.signedinteger[Any]],
+    npt.NDArray[np.unsignedinteger[Any]],
+    npt.NDArray[np.unsignedinteger[Any]],
+]
+
 #: Default working-set budget per kernel chunk, in array elements
 #: (~64 MB of int32).  The chunk batch size is derived from it.
 DEFAULT_ELEMENT_BUDGET = 16_000_000
@@ -121,6 +132,8 @@ def check_seed(seed: object, name: str) -> None:
     """Raise a :class:`ReproError` naming ``name`` unless ``seed`` is an
     integer ``>= 0`` (``bool`` excluded) or a ``SeedSequence`` — the seeds
     ``default_rng`` accepts as one session's stream."""
+    if type(seed) is int and seed >= 0:  # the common case, without the ABC checks
+        return
     if isinstance(seed, np.random.SeedSequence):
         return
     if isinstance(seed, Integral) and not isinstance(seed, bool) and seed >= 0:
@@ -218,7 +231,9 @@ class _Pruned:
     fancy indexing; otherwise it falls back to ``np.minimum.at``.
     ``arrivals`` is the kept transmissions' arrival column, ``(kept, 1)``,
     in the kernel dtype (:func:`_kernel_dtype`): the holdings matrix and the
-    score inherit its dtype.
+    score inherit its dtype.  ``lossless`` caches the :func:`_score` output
+    of one loss-free session per replay horizon (see
+    :func:`_lossless_scores`).
 
     Views are built on first use and cached in the schedule's ``_np_cache``
     dict under their prefix length, so there is at most one per compiled
@@ -232,6 +247,7 @@ class _Pruned:
     arrivals: npt.NDArray[np.signedinteger[Any]]
     num_rows: int
     num_packets: int
+    lossless: dict[int, _Scores] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def drawn(self) -> int:
@@ -388,13 +404,7 @@ def _hold_and_deliver(
     return held[:cells].reshape(view.num_packets, view.num_rows, batch)
 
 
-def _score(
-    held: npt.NDArray[np.signedinteger[Any]],
-) -> tuple[
-    npt.NDArray[np.signedinteger[Any]],
-    npt.NDArray[np.unsignedinteger[Any]],
-    npt.NDArray[np.unsignedinteger[Any]],
-]:
+def _score(held: npt.NDArray[np.signedinteger[Any]]) -> _Scores:
     """Per-node playback scores over the pruned packet prefix.
 
     ``held`` is the ``(packets, rows, B)`` kernel output (its dtype's
@@ -417,8 +427,17 @@ def _score(
     counter = np.min_scalar_type(packets)
     navail = avail.view(np.uint8).sum(axis=0, dtype=counter)
     packet = np.arange(packets, dtype=held.dtype)[:, None]
-    relative = np.where(avail, arrival - packet, np.iinfo(held.dtype).min)
+    # arrival - packet where available, else the dtype's minimum: a bitwise
+    # select through an all-ones/all-zeros mask, cheaper than np.where.
+    keep = avail.astype(held.dtype)
+    np.negative(keep, out=keep)
+    relative = arrival - packet
+    relative &= keep
+    np.invert(keep, out=keep)
+    keep &= np.iinfo(held.dtype).min
+    relative |= keep
     start = np.where(navail > 0, relative.max(axis=0) + 1, 0)
+    del keep, relative  # not needed by the count: free them before it
     # Occupancy only rises at an arrival, so the peak is reached at some
     # available packet p's arrival slot: count the packets q held then,
     # arrival_q <= arrival_p <= consume_q.  An available q is consumed at
@@ -440,6 +459,23 @@ def _score(
         count += held_then.view(np.uint8)
     peak = count.max(axis=0)
     return start.reshape(shape), peak.reshape(shape), navail.reshape(shape)
+
+
+def _lossless_scores(view: _Pruned, horizon: int) -> _Scores:
+    """The :func:`_score` output of one loss-free session of ``view`` over
+    ``horizon`` slots, ``(rows, 1)`` each.
+
+    A loss-free session reads neither a mask nor its seed, so the scores
+    depend on the view and the horizon alone: they are computed once and
+    kept, read-only, in ``view.lossless`` under the horizon.
+    """
+    scores = view.lossless.get(horizon)
+    if scores is None:
+        scores = _score(_hold_and_deliver(view, None, horizon, 1))
+        for column in scores:
+            column.flags.writeable = False
+        view.lossless[horizon] = scores
+    return scores
 
 
 # --------------------------------------------------------------------------
@@ -546,10 +582,11 @@ def replay_batch(
     ``sweep.batched_tx`` on the active registry, counting every session.
 
     Loss-free sessions (rate 0) draw no mask and never read their seed, so
-    they all score the same: the call replays one of them and broadcasts
-    its metrics into every rate-0 row.  Lossy sessions replay in chunks
-    (see ``element_budget``).  Every seed is checked before anything
-    replays, whatever its rate.
+    they all score the same: one of them is replayed once per pruned view
+    and horizon, and every call broadcasts its cached scores into all of
+    its rate-0 rows.  Lossy sessions replay in chunks (see
+    ``element_budget``).  Every seed is checked before anything replays,
+    whatever its rate.
 
     Args:
         schedule: the compiled timetable every session shares.
@@ -611,9 +648,9 @@ def replay_batch(
         np.empty((total, rows), dtype=np.int32) if keep_node_columns else None
     )
 
-    def store(at: npt.NDArray[np.intp], held: npt.NDArray[Any]) -> None:
-        """Score ``held`` into output rows ``at`` (one column broadcasts)."""
-        delays, peaks, navail = _score(held)
+    def store(at: npt.NDArray[np.intp], scores: _Scores) -> None:
+        """Write ``scores`` into output rows ``at`` (one column broadcasts)."""
+        delays, peaks, navail = scores
         available[at] = navail.sum(axis=0)
         max_delay[at] = delays.max(axis=0)
         avg_delay[at] = delays.mean(axis=0)
@@ -625,7 +662,7 @@ def replay_batch(
 
     lossy = np.asarray(rates) > 0
     if not lossy.all():
-        store(np.flatnonzero(~lossy), _hold_and_deliver(view, None, horizon, 1))
+        store(np.flatnonzero(~lossy), _lossless_scores(view, horizon))
     lossy_at = np.flatnonzero(lossy)
     for lo in range(0, lossy_at.size, chunk):
         at = lossy_at[lo:lo + chunk]
@@ -633,7 +670,7 @@ def replay_batch(
         drops = _pruned_masks(
             schedule, view, [rates[i] for i in members], [seeds[i] for i in members]
         )
-        store(at, _hold_and_deliver(view, drops, horizon, at.size))
+        store(at, _score(_hold_and_deliver(view, drops, horizon, at.size)))
     residual = num_packets * rows - available
     registry = active_registry()
     scheme = schedule.key.scheme if schedule.key is not None else "ad-hoc"

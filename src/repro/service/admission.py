@@ -26,10 +26,14 @@ Each session lands on exactly one **terminal** status, counted once in
 registry (a queued-then-rejected session is one ``rejected``, not a
 ``queued`` plus a ``rejected``).  Queue transit is observable separately:
 ``fleet.queue.entered`` counts every session that waited and the
-``fleet.queue.depth`` gauge tracks the instantaneous queue length.  Every
-decision also emits a ``session_*`` trace event when a tracer is attached
-and is returned as an immutable :class:`AdmissionDecision` for the SLO
-report.
+``fleet.queue.depth`` gauge tracks the queue length.  These three are
+tallied per call: :meth:`~SessionManager.admit_chunk` and
+:meth:`~SessionManager.finalize` add each instrument's total once, when
+they return, so the registry holds the queue depth as of the last call.
+An instrument is created at the session that first touches it, so the
+registry lists it where a per-session update would have.  Every decision
+also emits a ``session_*`` trace event when a tracer is attached and is
+returned as an immutable :class:`AdmissionDecision` for the SLO report.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import heapq
 from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 from repro.core.errors import ReproError
 from repro.obs.events import (
@@ -54,7 +59,7 @@ from repro.obs.names import (
     FLEET_QUEUE_ENTERED,
     FLEET_SESSIONS,
 )
-from repro.obs.registry import active_registry
+from repro.obs.registry import MetricsRegistry, active_registry
 from repro.service.spec import CapacityModel, ResolvedSession
 
 __all__ = ["AdmissionDecision", "SessionManager"]
@@ -157,8 +162,29 @@ class SessionManager:
         self._active: _Active | None = None
         self._queue: deque[ResolvedSession] = deque()
         self._last_slot = 0
+        # (name, status) -> [update method, amount]: this call's registry tally.
+        self._tally: dict[tuple[str, str], list[Any]] = {}
 
     # ------------------------------------------------------------------ hooks
+    def _add(self, key: tuple[str, str], amount: int,
+             update: Callable[[MetricsRegistry], Callable[[int], None]]) -> None:
+        """Tally ``amount`` on the instrument ``key`` names until :meth:`_flush`.
+
+        ``update`` gets the instrument's update method from the registry; it
+        runs at the first touch of ``key`` in a call, so the registry creates
+        the instrument when a per-session update would have.
+        """
+        entry = self._tally.get(key)
+        if entry is None:
+            entry = self._tally[key] = [update(active_registry()), 0]
+        entry[1] += amount
+
+    def _flush(self) -> None:
+        """Apply this call's tallies, one update per instrument."""
+        for update, amount in self._tally.values():
+            update(amount)
+        self._tally.clear()
+
     def _count(self, status: str) -> None:
         """Count one session's single terminal status.
 
@@ -166,18 +192,21 @@ class SessionManager:
         still ends as exactly one of admitted/degraded/rejected, so the
         ``fleet.sessions`` totals always sum to the offered load.
         """
-        active_registry().counter(FLEET_SESSIONS, status=status).inc()
+        self._add((FLEET_SESSIONS, status), 1,
+                  lambda registry: registry.counter(FLEET_SESSIONS, status=status).inc)
 
     def _park(self, session: ResolvedSession, slot: int) -> None:
         self._queue.append(session)
-        registry = active_registry()
-        registry.counter(FLEET_QUEUE_ENTERED).inc()
-        registry.gauge(FLEET_QUEUE_DEPTH).add(1)
+        self._add((FLEET_QUEUE_ENTERED, ""), 1,
+                  lambda registry: registry.counter(FLEET_QUEUE_ENTERED).inc)
+        self._add((FLEET_QUEUE_DEPTH, ""), 1,
+                  lambda registry: registry.gauge(FLEET_QUEUE_DEPTH).add)
         self._emit(SESSION_QUEUED, slot, session=session.session_id)
 
     def _unpark(self) -> None:
         self._queue.popleft()
-        active_registry().gauge(FLEET_QUEUE_DEPTH).add(-1)
+        self._add((FLEET_QUEUE_DEPTH, ""), -1,
+                  lambda registry: registry.gauge(FLEET_QUEUE_DEPTH).add)
 
     def _emit(self, name: str, slot: int, **fields: Any) -> None:
         if self.tracer is not None:
@@ -319,28 +348,31 @@ class SessionManager:
         if self._active is None:
             raise ReproError("call start() before admit_chunk()")
         made: list[AdmissionDecision] = []
-        for session in arrivals:
-            slot = session.arrival_slot
-            if slot < self._last_slot:
-                raise ReproError("arrivals must be sorted by arrival_slot")
-            self._last_slot = slot
-            self._active.release_until(slot)
-            self._drain_queue(slot, duration_of, made)
-            if self._queue:
-                # FIFO: a newcomer may not overtake a waiting session.
+        try:
+            for session in arrivals:
+                slot = session.arrival_slot
+                if slot < self._last_slot:
+                    raise ReproError("arrivals must be sorted by arrival_slot")
+                self._last_slot = slot
+                self._active.release_until(slot)
+                self._drain_queue(slot, duration_of, made)
+                if self._queue:
+                    # FIFO: a newcomer may not overtake a waiting session.
+                    if self.policy == "queue":
+                        self._park(session, slot)
+                    else:
+                        made.append(self._reject(session, slot, "capacity"))
+                    continue
+                decision = self._try_admit(session, slot, duration_of)
+                if decision is not None:
+                    made.append(decision)
+                    continue
                 if self.policy == "queue":
                     self._park(session, slot)
                 else:
                     made.append(self._reject(session, slot, "capacity"))
-                continue
-            decision = self._try_admit(session, slot, duration_of)
-            if decision is not None:
-                made.append(decision)
-                continue
-            if self.policy == "queue":
-                self._park(session, slot)
-            else:
-                made.append(self._reject(session, slot, "capacity"))
+        finally:
+            self._flush()
         return made
 
     def finalize(
@@ -355,13 +387,16 @@ class SessionManager:
         if self._active is None:
             raise ReproError("call start() before finalize()")
         made: list[AdmissionDecision] = []
-        self._drain_queue(2**62, duration_of, made)
-        while self._queue:
-            head = self._queue[0]
-            made.append(self._reject(
-                head, head.arrival_slot + self.max_queue_slots, "queue_timeout"
-            ))
-            self._unpark()
+        try:
+            self._drain_queue(2**62, duration_of, made)
+            while self._queue:
+                head = self._queue[0]
+                made.append(self._reject(
+                    head, head.arrival_slot + self.max_queue_slots, "queue_timeout"
+                ))
+                self._unpark()
+        finally:
+            self._flush()
         active = self._active
         self.peak_fanout = active.peak_fanout
         self.peak_backbone = active.peak_backbone

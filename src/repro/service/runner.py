@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, ContextManager, NamedTuple
 
@@ -47,7 +47,7 @@ from repro.service.slo import (
     pooled_percentile,
     score_batch_sessions,
 )
-from repro.service.spec import FleetSpec, ResolvedSession
+from repro.service.spec import FleetSpec, ResolvedSession, SessionSpec
 from repro.service.telemetry import FleetTelemetry
 
 # perfbench's tracer patches these oracle names on this module as well.
@@ -233,11 +233,20 @@ class _ControlHook:
         self.manager.policy = self.plane.admission_policy
         self.manager.max_queue_slots = self.plane.max_queue_slots
         degrees = self.plane.degree_overrides
-        return [
-            replace(s, spec=s.spec.with_degree(degrees[s.spec.label]))
-            if degrees.get(s.spec.label, s.spec.degree) != s.spec.degree else s
-            for s in window
-        ]
+        # One retuned spec per kind for the whole window, keyed by the kind
+        # object itself (the window's sessions share their fleet's kinds).
+        retuned: dict[int, SessionSpec] = {}
+        out: list[ResolvedSession] = []
+        for s in window:
+            spec = s.spec
+            degree = degrees.get(spec.label, spec.degree)
+            if degree != spec.degree:
+                new = retuned.get(id(spec))
+                if new is None:
+                    new = retuned[id(spec)] = spec.with_degree(degree)
+                s = ResolvedSession(s.session_id, new, s.arrival_slot, s.seed, s.leave_fraction)
+            out.append(s)
+        return out
 
     def after(self, epoch: int, window: Sequence[ResolvedSession],
               made: Sequence[AdmissionDecision]) -> None:

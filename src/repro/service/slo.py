@@ -19,14 +19,17 @@ capacity literature adds (reject rate, queue wait):
 * :class:`FleetSLOReport` aggregates sessions + admission decisions into the
   fleet report (p50/p95/p99 over the pooled per-node populations, reject
   rate, schedule-cache amortization) and round-trips through
-  ``reporting/export.py``;
+  ``reporting/export.py``; its ``sessions`` are one :class:`SessionColumns`
+  ordered by session id;
 * :class:`FleetAggregator` is the streaming aggregator behind
   :func:`aggregate_fleet`: admission decisions and session SLOs fold into
   mergeable :class:`~repro.obs.sketch.QuantileSketch` populations as they
   arrive.  The fold reads columns: one ``bincount`` each pools the startup
   column and the per-node matrices, and any plain ``SessionSLO`` sequence
   is first converted by :meth:`SessionColumns.from_slos` — there is one
-  fold path, and a sketch-mode fleet never builds a per-session object.
+  fold path, and no fleet builds a per-session object while it runs: an
+  exact-mode aggregator keeps the folded columns and merges them into the
+  report's ``sessions`` with one ``argsort``.
   ``relative_error=0`` (the :func:`aggregate_fleet` default) keeps every
   sketch in exact mode — reports are identical to the historical
   Counter-based pooling; ``relative_error>0`` bounds memory at fleet scale
@@ -38,7 +41,7 @@ from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from typing import Any, overload
 from dataclasses import asdict, dataclass, fields
-from operator import attrgetter
+from operator import attrgetter, eq
 
 import numpy as np
 import numpy.typing as npt
@@ -249,30 +252,40 @@ def score_session_columns(
 def _row_histograms(
     matrix: np.ndarray,
 ) -> list[tuple[tuple[int, int], ...]]:
-    """Per-row ``(value, count)`` tuples of a non-negative int matrix.
+    """Per-row ``(value, count)`` tuples of an int matrix, ``-1`` padding
+    left out.
 
     One ``bincount`` over row-offset values replaces a Python ``Counter``
     per row — the per-session cost is proportional to the row's distinct
     values, not its length.
     """
     num_rows = matrix.shape[0]
-    width = int(matrix.max()) + 1
-    offsets = np.arange(num_rows, dtype=np.int64)[:, None] * width
+    # Column 0 of each row's bins counts the padding; it is dropped.
+    width = int(matrix.max(initial=-1)) + 2
+    offsets = np.arange(num_rows, dtype=np.int64)[:, None] * width + 1
     counts = np.bincount(
         (matrix.astype(np.int64) + offsets).ravel(), minlength=num_rows * width
-    ).reshape(num_rows, width)
+    ).reshape(num_rows, width)[:, 1:]
     rows, values = np.nonzero(counts)
-    tallies = counts[rows, values]
-    splits = np.searchsorted(rows, np.arange(1, num_rows))
+    tallies = counts[rows, values].tolist()
+    present = values.tolist()
+    bounds = np.searchsorted(rows, np.arange(num_rows + 1)).tolist()
     return [
-        tuple(zip(map(int, v), map(int, c)))
-        for v, c in zip(np.split(values, splits), np.split(tallies, splits))
+        tuple(zip(present[lo:hi], tallies[lo:hi]))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
 
 
 #: :class:`SessionSLO` field names in declaration (constructor) order.
 _SLO_FIELDS = tuple(field.name for field in fields(SessionSLO))
 _slo_fields = attrgetter(*_SLO_FIELDS)
+
+#: The ``(B,)`` numeric columns of :class:`SessionColumns`.
+_NUMERIC_COLUMNS = (
+    "session_ids", "wait_slots", "startup_delay", "rebuffer_ratio", "goodput",
+    "delay_p50", "delay_p95", "delay_p99", "buffer_p50", "buffer_p99",
+    "num_nodes", "num_packets",
+)
 
 
 class SessionColumns(Sequence[SessionSLO]):
@@ -453,8 +466,59 @@ class SessionColumns(Sequence[SessionSLO]):
     def __iter__(self) -> Iterator[SessionSLO]:
         return iter(self._materialize())
 
+    def __eq__(self, other: object) -> bool:
+        """Equal to any sequence holding equal sessions in the same order."""
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
     def __repr__(self) -> str:
         return f"SessionColumns(sessions={len(self)})"
+
+    @classmethod
+    def merge(cls, parts: Sequence["SessionColumns"]) -> "SessionColumns":
+        """Every session of ``parts`` in one set of columns, ordered by
+        session id.
+
+        One stable ``argsort`` of the concatenated ids orders every column;
+        the per-node matrices pad to the widest part with ``-1``.  Nothing
+        per session is built.
+        """
+        if not parts:
+            return cls.from_slos(())
+        order = np.argsort(
+            np.concatenate([part.session_ids for part in parts]), kind="stable"
+        )
+        pick = order.tolist()
+        width = max(part.delays.shape[1] for part in parts)
+
+        def column(name: str) -> np.ndarray:
+            return np.concatenate([getattr(part, name) for part in parts])[order]
+
+        def matrix(name: str) -> np.ndarray:
+            blocks = [getattr(part, name) for part in parts]
+            dtype = np.result_type(*dict.fromkeys(block.dtype for block in blocks))
+            out = np.full((len(pick), width), -1, dtype=dtype)
+            row = 0
+            for block in blocks:
+                out[row:row + len(block), :block.shape[1]] = block
+                row += len(block)
+            return out[order]
+
+        def per_session(name: str) -> list[Any]:
+            values = [value for part in parts for value in getattr(part, name)]
+            return [values[i] for i in pick]
+
+        return cls(
+            labels=per_session("labels"),
+            statuses=per_session("statuses"),
+            qoe=per_session("qoe"),
+            delays=matrix("delays"),
+            buffers=matrix("buffers"),
+            **{name: column(name) for name in _NUMERIC_COLUMNS},
+        )
 
 
 def score_batch_sessions(
@@ -543,7 +607,12 @@ class FleetSLOReport:
         goodput_mean: mean session goodput.
         cache_hits / cache_misses / cache_hit_rate: schedule-compile
             amortization across the fleet.
-        sessions: every admitted session's :class:`SessionSLO`.
+        sessions: every executed session's SLO, ordered by session id, as
+            one :class:`SessionColumns` (a read-only
+            ``Sequence[SessionSLO]`` that builds its objects only when an
+            item is read; empty in sketch mode).  A plain ``SessionSLO``
+            sequence given here is converted by
+            :meth:`SessionColumns.from_slos`.
         qoe_tiers: ``(tier, count)`` tallies over the ABR sessions in the
             fleet (empty when no session kind carries an ``abr_profile``).
     """
@@ -569,8 +638,11 @@ class FleetSLOReport:
     cache_hits: int
     cache_misses: int
     cache_hit_rate: float
-    sessions: tuple[SessionSLO, ...]
+    sessions: SessionColumns
     qoe_tiers: tuple[tuple[str, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sessions", SessionColumns.from_slos(self.sessions))
 
     def row(self) -> dict:
         """Flat fleet summary (drops the per-session detail)."""
@@ -594,7 +666,7 @@ class FleetSLOReport:
     # -------------------------------------------------------- serialization
     def to_dict(self) -> dict:
         """JSON-serializable snapshot (inverse of :meth:`from_dict`)."""
-        payload = asdict(self)
+        payload = {field.name: getattr(self, field.name) for field in fields(self)}
         payload["sessions"] = [asdict(s) for s in self.sessions]
         return payload
 
@@ -611,7 +683,9 @@ class FleetSLOReport:
         qoe_tiers = tuple(
             (str(tier), int(count)) for tier, count in payload.pop("qoe_tiers", ())
         )
-        return cls(sessions=tuple(sessions), qoe_tiers=qoe_tiers, **payload)
+        return cls(
+            sessions=SessionColumns.from_slos(sessions), qoe_tiers=qoe_tiers, **payload
+        )
 
 
 def _fold_counts(sketch: QuantileSketch, values: np.ndarray) -> None:
@@ -638,9 +712,9 @@ class FleetAggregator:
             exact (the documented :class:`~repro.obs.sketch.QuantileSketch`
             bound).
         exact_limit: distinct-value budget before a lossy sketch collapses.
-        keep_sessions: retain every :class:`SessionSLO` for the report's
-            ``sessions`` tuple.  Set False at fleet scale — the whole point
-            of streaming aggregation is not materializing per-session
+        keep_sessions: retain every folded batch's columns for the
+            report's ``sessions``.  Set False at fleet scale — the whole
+            point of streaming aggregation is not keeping per-session
             results.
     """
 
@@ -674,7 +748,7 @@ class FleetAggregator:
         self._goodput_sum = 0.0
         self._slos = 0
         self._tiers: Counter[str] = Counter()
-        self._sessions: list[SessionSLO] = []
+        self._sessions: list[SessionColumns] = []
 
     @property
     def num_sessions_aggregated(self) -> int:
@@ -706,8 +780,8 @@ class FleetAggregator:
         matrices, and each distinct value folds into its quantile sketch
         once.  The float tallies accumulate in session order, so
         ``rebuffer_mean`` and ``goodput_mean`` match the one-at-a-time fold
-        bit for bit.  No :class:`SessionSLO` is built unless
-        ``keep_sessions`` retains them.
+        bit for bit.  No :class:`SessionSLO` is built: ``keep_sessions``
+        retains the columns themselves.
         """
         columns = SessionColumns.from_slos(slos)
         if not len(columns):
@@ -724,7 +798,7 @@ class FleetAggregator:
             self._goodput_sum += goodput
         self._tiers.update(qoe["tier"] for qoe in columns.qoe if qoe is not None)
         if self.keep_sessions:
-            self._sessions.extend(columns)
+            self._sessions.append(columns)
 
     def startup_sketch(self) -> QuantileSketch:
         """The pooled per-session startup-delay sketch (read-only use)."""
@@ -770,7 +844,7 @@ class FleetAggregator:
             cache_hit_rate=cache_hits / lookups if lookups else 0.0,
             # Batch-grouped execution folds sessions in schedule-group
             # order; the report always lists them by session id.
-            sessions=tuple(sorted(self._sessions, key=lambda s: s.session_id)),
+            sessions=SessionColumns.merge(self._sessions),
             qoe_tiers=tuple(sorted(self._tiers.items())),
         )
 

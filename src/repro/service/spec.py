@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
 from repro.core.errors import ReproError
-from repro.exec.batch import scalar_rate
+from repro.exec.batch import check_seed, scalar_rate
 from repro.exec.compiler import COMPILABLE_SCHEMES
 from repro.obs.convergence import ConvergenceCriterion
 from repro.repair.slack import SlackPolicy
@@ -44,6 +45,13 @@ __all__ = [
 
 ARRIVAL_PROCESSES = ("poisson", "uniform", "trace")
 ADMISSION_POLICIES = ("reject", "queue", "degrade")
+
+
+def _check_int(value: object, name: str) -> None:
+    """Raise a :class:`ReproError` naming ``name`` unless ``value`` is an
+    integer (``bool`` excluded)."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ReproError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,6 +99,8 @@ class SessionSpec:
                 f"{self.scheme!r} is not compilable (choose from "
                 f"{COMPILABLE_SCHEMES})"
             )
+        for name in ("num_nodes", "degree", "num_packets"):
+            _check_int(getattr(self, name), name)
         if self.num_nodes < 1:
             raise ReproError(f"num_nodes must be >= 1, got {self.num_nodes}")
         if self.num_packets < 1:
@@ -166,11 +176,12 @@ class CapacityModel:
     backbone: float = 8192.0
 
     def __post_init__(self) -> None:
-        if self.source_fanout <= 0:
+        # Written as "not > 0" so that NaN, which compares false, fails too.
+        if not self.source_fanout > 0:
             raise ReproError(
                 f"source_fanout budget must be > 0, got {self.source_fanout}"
             )
-        if self.backbone <= 0:
+        if not self.backbone > 0:
             raise ReproError(f"backbone budget must be > 0, got {self.backbone}")
 
     def fits(self, used_fanout: float, used_backbone: float,
@@ -272,6 +283,7 @@ class FleetSpec:
         object.__setattr__(self, "arrival_slots", tuple(self.arrival_slots))
         if not self.sessions:
             raise ReproError("a fleet needs at least one SessionSpec")
+        check_seed(self.seed, "seed")
         if self.num_sessions < 1:
             raise ReproError(f"num_sessions must be >= 1, got {self.num_sessions}")
         if self.arrival not in ARRIVAL_PROCESSES:

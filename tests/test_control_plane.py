@@ -551,3 +551,59 @@ class TestControlledRunner:
         replayed = decisions_from_record(record)
         rerun = FleetRunner().run(self._fleet(seed=5))
         assert replayed == list(rerun.control_decisions)
+
+    def test_admission_registry_matches_the_decisions(self):
+        from dataclasses import replace
+
+        from repro.control.scenario import ramp_fleet
+
+        # The ramp with a tight budget and queue bound: sessions queue, and
+        # some time out of the queue.
+        fleet = replace(
+            ramp_fleet("adaptive", scale=1.0),
+            capacity=CapacityModel(source_fanout=20.0, backbone=1e9), max_queue_slots=8,
+        )
+        registry = MetricsRegistry()
+        sink = RingBufferSink(capacity=100_000)
+        result = FleetRunner(registry=registry, tracer=EventTracer(sink)).run(fleet)
+        snapshot = registry.snapshot()
+        counters = {
+            (row["name"], row["labels"].get("status", "")): row["value"]
+            for row in snapshot["counters"]
+        }
+        gauges = {row["name"]: row["value"] for row in snapshot["gauges"]}
+        statuses = [d.status for d in result.decisions]
+        assert "rejected" in statuses
+        for status in ("admitted", "degraded", "rejected"):
+            assert counters.get(("fleet.sessions", status), 0) == statuses.count(status)
+        parked = [e for e in sink.events if e.name == "session_queued"]
+        assert parked, "the fleet never queued"
+        assert counters[("fleet.queue.entered", "")] == len(parked)
+        assert gauges["fleet.queue.depth"] == 0  # the drain window empties it
+
+    def test_one_spec_per_kind_and_degree_within_an_epoch(self, monkeypatch):
+        from repro.service import runner as runner_module
+
+        handed = []
+        original = runner_module._ControlHook.before
+
+        def before(hook, epoch, window):
+            out = original(hook, epoch, window)
+            handed.append(list(out))
+            return out
+
+        monkeypatch.setattr(runner_module._ControlHook, "before", before)
+        fleet = self._fleet()
+        FleetRunner().run(fleet)
+        retuned = 0
+        for window in handed:
+            objects = {}
+            for session in window:
+                key = (session.spec.label, session.spec.degree)
+                objects.setdefault(key, {})[id(session.spec)] = session.spec
+            assert all(len(specs) == 1 for specs in objects.values()), objects
+            for session in window:
+                if session.spec.degree != fleet.sessions[0].degree:
+                    assert session.spec == fleet.sessions[0].with_degree(session.spec.degree)
+                    retuned += 1
+        assert retuned, "the degree optimizer never retuned the kind"

@@ -629,6 +629,55 @@ class TestLossFreeBroadcast:
         assert batch.drop_rates == self.RATES and batch.seeds == seeds
 
 
+class TestLossFreeCache:
+    def test_two_horizons_each_equal_the_scalar_oracle(self):
+        compiled = compile_schedule("multi-tree", 15, 3, num_packets=8)
+        compiled._np_cache = None
+        full, short = compiled.num_slots, compiled.num_slots // 2
+        seeds = (1, 2, 3)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            for horizon in (full, short, full):
+                batch = replay_batch(compiled, seeds, 0.0, num_packets=8, num_slots=horizon)
+                arrivals = replay_arrivals(compiled, num_slots=horizon)
+                expected = collect_repair_metrics(arrivals, num_packets=8, num_slots=horizon)
+                nodes = [
+                    summarize_lossy_playback(arrivals[node], 8) for node in compiled.node_ids
+                ]
+                assert batch.node_delays is not None and batch.node_buffers is not None
+                for i in range(len(seeds)):
+                    assert batch.metrics(i) == expected, (horizon, i)
+                    assert batch.node_delays[i].tolist() == [n.startup_delay for n in nodes]
+                    assert batch.node_buffers[i].tolist() == [n.buffer_peak for n in nodes]
+        sessions = registry.counter("sweep.batch_sessions", scheme="multi-tree")
+        assert sessions.value == 3 * len(seeds)
+        view = _prune(compiled, 8)
+        assert sorted(view.lossless) == [short, full]
+        for scores in view.lossless.values():
+            for column in scores:
+                assert not column.flags.writeable
+                with pytest.raises(ValueError):
+                    column[0, 0] = 0
+
+    def test_cached_scores_are_reused_not_recomputed(self, monkeypatch):
+        import repro.exec.batch as batch_module
+
+        compiled = compile_schedule("multi-tree", 15, 2, num_packets=8)
+        compiled._np_cache = None
+        calls = []
+        original = batch_module._hold_and_deliver
+
+        def counted(view, drops, horizon, batch):
+            calls.append(drops is None)
+            return original(view, drops, horizon, batch)
+
+        monkeypatch.setattr(batch_module, "_hold_and_deliver", counted)
+        first = replay_batch(compiled, (1, 2), 0.0, num_packets=8)
+        second = replay_batch(compiled, (5, 6, 7), (0.0, 0.2, 0.0), num_packets=8)
+        assert calls == [True, False]  # one loss-free replay, then the lossy row
+        assert second.metrics(0) == second.metrics(2) == first.metrics(0)
+
+
 class TestNumpyScalarRates:
     @pytest.mark.parametrize(
         "rate", [np.float32(0.05), np.int64(0), np.array(0.05)],

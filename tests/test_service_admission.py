@@ -276,3 +276,100 @@ class TestChunkedAdmission:
     def test_unknown_policy(self):
         with pytest.raises(ReproError):
             SessionManager(CapacityModel(), policy="drop")
+
+
+class TestPerCallTallies:
+    """``fleet.sessions``, ``fleet.queue.entered`` and ``fleet.queue.depth``
+    are tallied once per ``admit_chunk``/``finalize`` call."""
+
+    @staticmethod
+    def _values(registry):
+        snapshot = registry.snapshot()
+        counters = {
+            (row["name"], row["labels"].get("status", "")): row["value"]
+            for row in snapshot["counters"]
+        }
+        gauges = {row["name"]: row["value"] for row in snapshot["gauges"]}
+        return counters, gauges
+
+    def test_each_call_ends_with_the_per_session_totals(self):
+        registry = MetricsRegistry()
+        sink = RingBufferSink()
+        manager = SessionManager(
+            CapacityModel(source_fanout=3.0, backbone=1000.0),
+            policy="queue", max_queue_slots=12, tracer=EventTracer(sink),
+        )
+        arrivals = _sessions([0, 1, 2, 3, 11, 12, 30, 31])
+        made = []
+        with use_registry(registry):
+            manager.start()
+            for lo in range(0, len(arrivals), 3):
+                made += manager.admit_chunk(arrivals[lo:lo + 3], _duration(10))
+                counters, gauges = self._values(registry)
+                statuses = [d.status for d in made]
+                for status in ("admitted", "rejected"):
+                    assert counters.get(("fleet.sessions", status), 0) == statuses.count(status)
+                parked = [e for e in sink.events if e.name == "session_queued"]
+                assert counters[("fleet.queue.entered", "")] == len(parked)
+                assert gauges["fleet.queue.depth"] == manager.queued_count
+            made += manager.finalize(_duration(10))
+        # The trace queues, admits from the queue and times a session out.
+        assert {d.reason for d in made} == {"", "queue_timeout"}
+        assert any(d.wait_slots > 0 for d in made)
+        counters, gauges = self._values(registry)
+        assert sum(
+            value for (name, _), value in counters.items() if name == "fleet.sessions"
+        ) == len(arrivals)
+        assert gauges["fleet.queue.depth"] == 0 == manager.queued_count
+
+    def test_a_call_touches_only_what_a_session_touched(self):
+        # No session queues: the queue instruments are never created, and
+        # only the statuses that occurred are.
+        registry = MetricsRegistry()
+        manager = SessionManager(
+            CapacityModel(source_fanout=6.0, backbone=1000.0), policy="reject"
+        )
+        with use_registry(registry):
+            manager.admit_all(_sessions([0, 0, 0]), _duration())
+        counters, gauges = self._values(registry)
+        assert list(counters) == [
+            ("fleet.sessions", "admitted"), ("fleet.sessions", "rejected"),
+        ]
+        assert "fleet.queue.depth" not in gauges
+
+    def test_instruments_are_created_in_per_session_order(self):
+        # duration_of creates an instrument per degree (as a schedule
+        # compile does); the status counters must still be created between
+        # them, where one update per session would have created them.
+        registry = MetricsRegistry()
+        manager = SessionManager(
+            CapacityModel(source_fanout=5.0, backbone=1000.0),
+            policy="degrade", min_degree=2,
+        )
+
+        def duration_of(session, degree):
+            registry.counter("compile", degree=str(degree)).inc()
+            return 10
+
+        with use_registry(registry):
+            made = manager.admit_all(_sessions([0, 0]), duration_of)
+        assert [d.status for d in made] == ["admitted", "degraded"]
+        order = [
+            (row["name"], *row["labels"].values()) for row in registry.snapshot()["counters"]
+        ]
+        assert order == [
+            ("compile", "3"), ("fleet.sessions", "admitted"),
+            ("compile", "2"), ("fleet.sessions", "degraded"),
+        ]
+
+    def test_counts_made_before_an_error_are_kept(self):
+        registry = MetricsRegistry()
+        manager = SessionManager(
+            CapacityModel(source_fanout=6.0, backbone=1000.0), policy="reject"
+        )
+        with use_registry(registry):
+            manager.start()
+            with pytest.raises(ReproError, match="sorted"):
+                manager.admit_chunk(_sessions([0, 5, 1]), _duration())
+        counters, _ = self._values(registry)
+        assert counters == {("fleet.sessions", "admitted"): 2}

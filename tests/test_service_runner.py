@@ -443,3 +443,52 @@ class TestOracleIdentity:
         assert result.control_epochs
         # Degree retunes relabel a kind, so the label comes from the SLO.
         self._assert_oracle(result, labels_from_spec=False)
+
+
+class TestColumnarExactReport:
+    """An exact-mode run keeps the folded columns; the report merges them
+    into one :class:`SessionColumns` ordered by session id."""
+
+    def test_exact_run_builds_no_session_objects(self, monkeypatch):
+        # The exact-mode twin of the sketch-mode count in
+        # test_smoke_fleet_sketch.py: nothing is built until a reader asks.
+        import repro.service.slo as slo_module
+        from repro.service import SessionColumns
+
+        built = []
+        session_slo = slo_module.SessionSLO
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return session_slo(*args, **kwargs)
+
+        monkeypatch.setattr(slo_module, "SessionSLO", counted)
+        report = FleetRunner(policy=SERIAL).run(TestOracleIdentity()._fleet()).report
+        assert isinstance(report.sessions, SessionColumns)
+        assert len(report.sessions) == report.admitted + report.degraded
+        assert report.row()
+        assert not built, f"exact mode built {len(built)} SessionSLO objects"
+        report.sessions[0]
+        assert len(built) == len(report.sessions)  # all at once, on first read
+
+    def test_sessions_are_ordered_and_equal_the_folded_objects(self, monkeypatch):
+        from repro.service import FleetAggregator
+
+        folded = []
+        original = FleetAggregator.add_sessions
+
+        def add_sessions(aggregator, slos):
+            folded.extend(slos)
+            original(aggregator, slos)
+
+        monkeypatch.setattr(FleetAggregator, "add_sessions", add_sessions)
+        report = FleetRunner(policy=SERIAL).run(TestOracleIdentity()._fleet()).report
+        ids = report.sessions.session_ids.tolist()
+        assert [slo.session_id for slo in folded] != ids, "fold order was already sorted"
+        expected = tuple(sorted(folded, key=lambda slo: slo.session_id))
+        assert ids == [slo.session_id for slo in expected]
+        assert tuple(report.sessions) == expected
+        assert report.sessions == expected
+        # The 8-node chain rows are padded out to the 15-node kinds.
+        assert report.sessions.delays.shape[1] == 15
+        assert (report.sessions.delays == -1).any()

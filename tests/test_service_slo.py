@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 from collections import Counter
@@ -364,6 +365,49 @@ class TestColumnFold:
         aggregator = FleetAggregator()
         aggregator.add_sessions([])
         assert aggregator.num_sessions_aggregated == 0
+
+
+class TestMergedColumns:
+    def test_merge_orders_by_id_and_pads_the_narrow_parts(self):
+        *_, wide = _scored_batch("hypercube", 16, 3)  # ids 100..111
+        *_, narrow = _scored_batch("multi-tree", 15, 2)
+        later = SessionColumns.from_slos(
+            [dataclasses.replace(slo, session_id=slo.session_id - 50) for slo in narrow]
+        )
+        merged = SessionColumns.merge([wide, later])
+        expected = sorted([*wide, *later], key=lambda slo: slo.session_id)
+        assert merged.session_ids.tolist() == [slo.session_id for slo in expected]
+        assert merged.delays.shape == (len(expected), 16)
+        assert (merged.delays[: len(later), 15] == -1).all()
+        assert list(merged) == expected
+
+    def test_merge_of_nothing_is_empty(self):
+        merged = SessionColumns.merge([])
+        assert len(merged) == 0 and merged == () and merged == []
+        assert list(merged) == []
+
+    def test_equality_is_element_wise(self):
+        *_, columns = _scored_batch("multi-tree", 15, 2)
+        slos = list(columns)
+        assert columns == slos and columns == tuple(slos)
+        assert columns != slos[:-1]
+        assert columns != [*slos[:-1], dataclasses.replace(slos[-1], wait_slots=99)]
+        assert columns != "not a sequence of sessions"
+        with pytest.raises(TypeError):
+            hash(columns)
+
+    def test_report_sessions_are_columns_whatever_was_given(self):
+        decisions = [_decision(0, "admitted"), _decision(1, "admitted")]
+        slos = [
+            score_session({1: {0: 1}}, session_id=1, label="k", num_packets=1, num_slots=10),
+            score_session({1: {0: 3}}, session_id=0, label="k", num_packets=1, num_slots=10),
+        ]
+        report = aggregate_fleet(decisions, slos)
+        assert isinstance(report.sessions, SessionColumns)
+        assert report.sessions == [slos[1], slos[0]]
+        as_tuple = dataclasses.replace(report, sessions=tuple(report.sessions))
+        assert isinstance(as_tuple.sessions, SessionColumns)
+        assert as_tuple == report
 
 
 class TestHistogramBulkObserve:

@@ -182,6 +182,40 @@ class TestFleetSpec:
         with pytest.raises(ReproError, match=field):
             build()
 
+    @pytest.mark.parametrize(
+        ("build", "field"),
+        [
+            (lambda: FleetSpec(seed=-1), "seed"),
+            (lambda: FleetSpec(seed=1.5), "seed"),
+            (lambda: FleetSpec(seed=True), "seed"),
+            (lambda: SessionSpec(num_nodes=1.5), "num_nodes"),
+            (lambda: SessionSpec(num_nodes=True), "num_nodes"),
+            (lambda: SessionSpec(degree=2.5), "degree"),
+            (lambda: SessionSpec(degree=True), "degree"),
+            (lambda: SessionSpec(num_packets=8.0), "num_packets"),
+            (lambda: SessionSpec(num_packets=True), "num_packets"),
+            (lambda: CapacityModel(source_fanout=float("nan")), "source_fanout"),
+            (lambda: CapacityModel(backbone=float("nan")), "backbone"),
+        ],
+        ids=[
+            "seed-negative", "seed-float", "seed-bool", "nodes-float", "nodes-bool",
+            "degree-float", "degree-bool", "packets-float", "packets-bool",
+            "fanout-nan", "backbone-nan",
+        ],
+    )
+    def test_bad_fields_are_named_at_construction(self, build, field):
+        # Before these checks each one failed mid-run (NumPy's ValueError,
+        # a TypeError, "every session was rejected") or ran as if valid.
+        with pytest.raises(ReproError, match=field):
+            build()
+
+    def test_integer_like_fields_still_construct(self):
+        import numpy as np
+
+        assert FleetSpec(seed=np.int64(3)).seed == 3
+        assert SessionSpec(num_nodes=np.int64(15), degree=np.int32(2)).num_nodes == 15
+        assert CapacityModel(source_fanout=float("inf")).source_fanout == float("inf")
+
     def test_constant_vocabularies(self):
         assert ARRIVAL_PROCESSES == ("poisson", "uniform", "trace")
         assert ADMISSION_POLICIES == ("reject", "queue", "degrade")
